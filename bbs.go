@@ -12,11 +12,11 @@
 //
 // The database can be partitioned horizontally into N shards
 // (Options.Shards), each owning its own slices, counters and data file.
-// Writes route round-robin by insertion order; ad-hoc counts fan out to the
-// shards and merge deterministically; a full mining run binds to a merged
-// read view whose results are byte-identical to an unsharded database over
+// Writes route round-robin by insertion order; ad-hoc counts and full mining
+// runs read the shards in place, ANDing each shard's own slices and summing
+// the counts, so results are byte-identical to an unsharded database over
 // the same transactions. Sharding changes throughput and layout, never an
-// answer.
+// answer — and a tiered sharded database stays inside its memory budget.
 //
 // Quick start:
 //
@@ -161,13 +161,7 @@ func (db *Database) Get(pos int) (int64, []int32, error) {
 // IndexBytes returns the logical (all-dense) size of the BBS index in
 // bytes, summed over the shards — the classic m × n / 8 footprint, stable
 // across storage policies.
-func (db *Database) IndexBytes() int64 {
-	var n int64
-	for s := 0; s < db.sdb.Shards(); s++ {
-		n += db.sdb.Index().Part(s).TotalBytes()
-	}
-	return n
-}
+func (db *Database) IndexBytes() int64 { return db.sdb.Index().TotalBytes() }
 
 // ResidentIndexBytes returns the bytes the slices actually occupy under
 // their current encodings, summed over the shards. Equal to IndexBytes when
@@ -279,12 +273,6 @@ func (db *Database) Stats() iostat.Snapshot { return db.stats.Snapshot() }
 // ResetStats zeroes the counters, typically before a measured run.
 func (db *Database) ResetStats() { db.stats.Reset() }
 
-// miner builds a core.Miner over the merged read view (with one shard, the
-// database's own index and store; the merge is cached between writes).
-func (db *Database) miner() (*core.Miner, error) {
-	idx, store, err := db.sdb.Merged()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewMiner(idx, store, db.stats)
-}
+// miner builds a core.Miner bound to the shards in place, one segment per
+// shard (with one shard, the database's own index and store).
+func (db *Database) miner() (*core.Miner, error) { return db.sdb.Miner() }

@@ -53,7 +53,7 @@ func run(args []string) error {
 		seed    = fs.Int64("seed", 1, "dataset seed")
 		tau     = fs.Float64("tau", 0, "override the minimum-support fraction (default: the paper's 0.003; raise it for scaled-down runs)")
 		workers = fs.Int("workers", 1, "mining worker pool size for figures 5..13 (default 1 keeps paper timings single-threaded; figure 14 sweeps its own)")
-		shards  = fs.Int("shards", 1, "with -json, shard the index N ways and mine the merged view (the answer and funnel are identical; the layout under measurement changes)")
+		shards  = fs.Int("shards", 1, "with -json, shard the index N ways and mine the shards in place (the answer and funnel are identical; the layout under measurement changes)")
 		csv     = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		outdir  = fs.String("outdir", "", "also write each table as <outdir>/<id>.csv for plotting")
 		jsonOut = fs.String("json", "", "skip the figures; time the four BBS schemes and write JSON records to this path")

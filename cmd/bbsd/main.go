@@ -9,9 +9,11 @@
 //
 // -shards N serves the database as N horizontal shards, each with its own
 // index, data file and commit loop; writes to different shards commit
-// concurrently and queries mine a merged view whose answers are identical
-// to an unsharded server. Opening a flat directory with -shards N migrates
-// it in place; once sharded, the directory remembers its count.
+// concurrently, and each query mines the shards' snapshots in place (every
+// AND step runs in each shard and the counts add), so answers are
+// identical to an unsharded server and -mem-budget bounds residency at any
+// shard count. Opening a flat directory with -shards N migrates it in
+// place; once sharded, the directory remembers its count.
 //
 // Endpoints:
 //
@@ -37,7 +39,7 @@
 // scratch directory, measures cold-versus-cached /mine latency over real
 // HTTP and appends the records to -bench-out. With -shards N it also
 // measures the sharded server: /txns write throughput into N commit loops
-// plus cold and cached /mine latency over the merged view.
+// plus cold and cached /mine latency over the N shards.
 package main
 
 import (
@@ -316,8 +318,8 @@ func mineLatencies(ctx context.Context, c *client.Client, req serve.QueryRequest
 // serves it on a loopback port and measures one cold /mine followed by
 // repeated cached hits, all over real HTTP. With shards > 1 it then raises
 // a sharded server, measures /txns write throughput into the N commit
-// loops, re-measures /mine over the merged view and checks the sharded
-// answer byte-identical to the unsharded one.
+// loops, re-measures /mine over the N shards and checks the sharded answer
+// byte-identical to the unsharded one.
 func runBench(out string, scale float64, cachedReps, workers, shards int, compress bool) error {
 	p := exp.Defaults(scale)
 	txs, err := p.Dataset()
@@ -409,7 +411,7 @@ func runBench(out string, scale float64, cachedReps, workers, shards int, compre
 // benchSharded raises an N-shard server on a scratch directory, streams the
 // dataset in over /txns (the write-throughput measurement: every batch fans
 // out across the N commit loops), then measures cold and cached /mine over
-// the merged view. The sharded cold answer must be byte-identical to the
+// the shards. The sharded cold answer must be byte-identical to the
 // unsharded server's (want) — the scatter-gather determinism guarantee,
 // checked over real HTTP.
 func benchSharded(ctx context.Context, p exp.Params, txs []txdb.Transaction, workers, shards, cachedReps int, compress bool, want json.RawMessage) ([]serverBenchRecord, error) {

@@ -12,9 +12,10 @@
 //	bbsmine -db dataset/ -count 3,17,29
 //	bbsmine -db dataset/ -count 3,17 -where-tid-mod 7
 //
-// -shards N opens (or migrates to) an N-way sharded database: counts fan
-// out per shard, mining binds to a merged view, and every answer is
-// identical to an unsharded database over the same data.
+// -shards N opens (or migrates to) an N-way sharded database: counts and
+// mines read every shard in place, ANDing each shard's own slices and
+// summing the counts, so every answer is identical to an unsharded database
+// over the same data, and -mem-budget bounds residency at any shard count.
 package main
 
 import (

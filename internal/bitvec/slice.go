@@ -691,8 +691,8 @@ func (s *Slice) OrInto(dst *Vector) {
 }
 
 // BlitInto ORs the slice's bits into dst starting at bit offset `at` — the
-// shard-merge primitive, concatenating per-shard columns into one. dst must
-// have room for at+Len bits.
+// shard-merge export primitive (sigfile.Merge), concatenating per-shard
+// columns into one. dst must have room for at+Len bits.
 func (s *Slice) BlitInto(dst []uint64, at int) {
 	if s.cold != nil {
 		s.Thaw().BlitInto(dst, at) // merge path, off the query kernels

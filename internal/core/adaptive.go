@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bbsmine/internal/obs"
+	"bbsmine/internal/sigfile"
 )
 
 // mineAdaptive is the paper's three-phase filtering for memory-constrained
@@ -18,8 +19,8 @@ import (
 //  3. Postprocessing — one pass over the original BBS re-estimates every
 //     still-uncertain candidate and prunes those below τ, before the normal
 //     refinement runs on the survivors.
-func (m *Miner) mineAdaptive(cfg Config) (*Result, error) {
-	keep := int(cfg.MemoryBudget / m.idx.SliceBytes())
+func (m *Miner) mineAdaptive(cfg Config, idx *sigfile.Segments) (*Result, error) {
+	keep := int(cfg.MemoryBudget / idx.SliceBytes())
 	// Sanity floor: a MemBBS narrower than a few times the signature
 	// density has no pruning power — folded slices saturate, every estimate
 	// approaches |D|, and filtering degenerates into enumerating the
@@ -27,21 +28,21 @@ func (m *Miner) mineAdaptive(cfg Config) (*Result, error) {
 	// transaction, whose ~k·|items| positions can cover most of a narrow
 	// fold and survive every itemset's AND, so the floor is 4× the largest
 	// per-transaction signature footprint (and at least 4× the average).
-	floor := 4 * m.idx.Hasher().K() * m.idx.MaxTransactionItems()
-	if f := int(4*m.idx.AverageSignatureBits()) + 1; f > floor {
+	floor := 4 * idx.Hasher().K() * idx.MaxTransactionItems()
+	if f := int(4*idx.AverageSignatureBits()) + 1; f > floor {
 		floor = f
 	}
 	if keep < floor {
 		keep = floor
 	}
-	if keep > m.idx.M() {
-		keep = m.idx.M()
+	if keep > idx.M() {
+		keep = idx.M()
 	}
 	// The full index cannot stay resident under this budget: it is streamed
 	// (once by the fold, once by the postprocessing pass) and evicted.
-	m.idx.EvictCache()
+	idx.EvictCache()
 	foldTick := cfg.Observe.Tick()
-	memIdx, err := m.idx.Fold(keep)
+	memIdx, err := idx.Fold(keep)
 	if err != nil {
 		return nil, fmt.Errorf("core: building MemBBS: %w", err)
 	}
@@ -73,11 +74,11 @@ func (m *Miner) mineAdaptive(cfg Config) (*Result, error) {
 	// time); scan schemes batch the survivors for sequential verification.
 	// With workers > 1 the per-candidate re-estimates (and probes) run on
 	// the pool; the outcomes are merged in candidate order.
-	m.idx.ChargeFullRead()
+	idx.ChargeFullRead()
 	reverifyTick := cfg.Observe.Tick()
 	var survivors []Pattern
 	if workers := cfg.workerCount(); workers > 1 && len(r.uncertain) > 1 {
-		acc, surv, drops, probed := m.reverifyParallel(r, r.uncertain, cfg, workers)
+		acc, surv, drops, probed := m.reverifyParallel(r, idx, r.uncertain, cfg, workers)
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
 		}
@@ -86,14 +87,14 @@ func (m *Miner) mineAdaptive(cfg Config) (*Result, error) {
 		res.FalseDrops += drops
 		r.probedPatterns += probed
 	} else {
-		buf := r.vecs.Get() // same length: Fold preserves n, so the phase-1 pool fits
+		buf := r.vecs.Get() // same shape: Fold preserves every segment's n, so the phase-1 pool fits
 		defer r.vecs.Put(buf)
 		var posBuf []int // reused across candidates; CountIntoBuf grows it once
 		for _, c := range r.uncertain {
 			if r.cancelled() {
 				return nil, r.err
 			}
-			est := m.idx.CountIntoBuf(buf, c.Items, &posBuf)
+			est := idx.CountIntoBuf(buf, c.Items, &posBuf)
 			if cfg.Constraint != nil && est > 0 {
 				est = buf.AndCount(cfg.Constraint)
 			}

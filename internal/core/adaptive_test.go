@@ -5,6 +5,7 @@ import (
 
 	"bbsmine/internal/bitvec"
 	"bbsmine/internal/mining"
+	"bbsmine/internal/sigfile"
 	"bbsmine/internal/txdb"
 )
 
@@ -156,7 +157,7 @@ func TestCountQueries(t *testing.T) {
 	}
 
 	// Length-mismatched constraint errors.
-	if _, _, err := miner.CountConstrained([]txdb.Item{1}, bitvec.New(3)); err == nil {
+	if _, _, err := miner.CountConstrained([]txdb.Item{1}, sigfile.VecOf(bitvec.New(3))); err == nil {
 		t.Error("mismatched constraint accepted")
 	}
 }

@@ -18,7 +18,7 @@ func newCheckCountRun(t *testing.T, tau int, est1, act1 int) *run {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRun(m, idx, Config{MinSupport: tau})
+	r := newRun(m, m.idx, Config{MinSupport: tau})
 	r.items = []txdb.Item{1}
 	r.est1 = []int{est1}
 	r.act1 = []int{act1}

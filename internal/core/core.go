@@ -29,7 +29,8 @@
 // # Concurrency model
 //
 // Mining runs on a bounded worker pool sized by Config.Workers (default:
-// one worker per CPU). The enumeration fans out at the root — every
+// one worker per CPU). The level-1 sweep splits the items into contiguous
+// chunks, one per worker, and the enumeration fans out at the root — every
 // surviving level-1 extension's subtree is an independent task, since a
 // subtree depends only on its own residual vector and the read-only level-1
 // alphabet — and refinement fans out with it: probe fetches split by
@@ -51,7 +52,6 @@ import (
 	"fmt"
 	"sort"
 
-	"bbsmine/internal/bitvec"
 	"bbsmine/internal/iostat"
 	"bbsmine/internal/mining"
 	"bbsmine/internal/obs"
@@ -110,10 +110,10 @@ type Config struct {
 	// It also batches SequentialScan refinement.
 	MemoryBudget int64
 	// Constraint optionally restricts mining to the transactions whose bit
-	// is set (paper Section 3.4). Only the single-filter schemes support
+	// is set (paper Section 3.4), segment by segment (see BuildConstraint). Only the single-filter schemes support
 	// constrained mining: the dual filter's exact 1-itemset counts are
 	// unconstrained and its certificates would be unsound.
-	Constraint *bitvec.Vector
+	Constraint *sigfile.Vec
 	// MaxLen bounds pattern length; 0 means unbounded.
 	MaxLen int
 	// Workers bounds the mining worker pool. 0 (the default) uses one
@@ -192,32 +192,47 @@ func (r *Result) Frequents() []mining.Frequent {
 	return out
 }
 
-// Miner binds a BBS index to its backing transaction store. The index's
-// ordinal positions must correspond to the store's: position i of every
-// slice is transaction i of the store.
+// Miner binds an index to its backing transaction store, segment by
+// segment: segment s is one BBS part and the store holding the same rows,
+// position i of every slice of the part being row i of the store. An
+// unsharded database is one segment; a sharded one is mined in place, one
+// segment per shard, with each probe going to the owning shard's store.
 type Miner struct {
-	idx   *sigfile.BBS
-	store txdb.Store
-	stats *iostat.Stats
+	idx    *sigfile.Segments
+	stores []txdb.Store
+	stats  *iostat.Stats
 }
 
-// NewMiner returns a miner over the given index and store. A nil stats
-// falls back to the index's sink.
+// NewMiner returns a one-segment miner over the given index and store. A
+// nil stats falls back to the index's sink.
 func NewMiner(idx *sigfile.BBS, store txdb.Store, stats *iostat.Stats) (*Miner, error) {
-	if idx.Len() != store.Len() {
-		return nil, fmt.Errorf("core: index covers %d transactions, store has %d", idx.Len(), store.Len())
-	}
-	if stats == nil {
-		stats = idx.Stats()
-	}
-	return &Miner{idx: idx, store: store, stats: stats}, nil
+	return NewSegmentMiner([]*sigfile.BBS{idx}, []txdb.Store{store}, stats)
 }
 
-// Index returns the underlying BBS.
-func (m *Miner) Index() *sigfile.BBS { return m.idx }
+// NewSegmentMiner returns a miner over segments: parts[s] indexes the rows
+// of stores[s]. The parts must share one hash scheme. A nil stats falls
+// back to part 0's sink.
+func NewSegmentMiner(parts []*sigfile.BBS, stores []txdb.Store, stats *iostat.Stats) (*Miner, error) {
+	if len(parts) != len(stores) {
+		return nil, fmt.Errorf("core: %d index segments for %d stores", len(parts), len(stores))
+	}
+	for s, p := range parts {
+		if p.Len() != stores[s].Len() {
+			return nil, fmt.Errorf("core: index covers %d transactions, store has %d (segment %d)", p.Len(), stores[s].Len(), s)
+		}
+	}
+	idx, err := sigfile.NewSegments(parts, stats)
+	if err != nil {
+		return nil, err
+	}
+	return &Miner{idx: idx, stores: stores, stats: idx.Stats()}, nil
+}
 
-// Store returns the underlying transaction store.
-func (m *Miner) Store() txdb.Store { return m.store }
+// Index returns segment 0's index — the whole index of a one-segment miner.
+func (m *Miner) Index() *sigfile.BBS { return m.idx.Parts()[0] }
+
+// Store returns segment 0's store — the whole store of a one-segment miner.
+func (m *Miner) Store() txdb.Store { return m.stores[0] }
 
 // Stats returns the accounting sink.
 func (m *Miner) Stats() *iostat.Stats { return m.stats }
@@ -249,28 +264,28 @@ func (m *Miner) Mine(cfg Config) (*Result, error) {
 		if cfg.Scheme.dualFilter() {
 			return nil, fmt.Errorf("core: constrained mining requires a single-filter scheme (SFS or SFP), got %s", cfg.Scheme)
 		}
-		if cfg.Constraint.Len() != m.idx.Len() {
-			return nil, fmt.Errorf("core: constraint length %d != index length %d", cfg.Constraint.Len(), m.idx.Len())
+		if err := m.checkConstraint(cfg.Constraint); err != nil {
+			return nil, err
 		}
 	}
-	// Propagate the memory budget into the store's buffer-cache model and
-	// reset residency, so each run's probe accounting starts cold.
-	if limiter, ok := m.store.(txdb.CacheLimiter); ok {
-		limiter.SetCacheLimit(cfg.MemoryBudget)
+	// Propagate the memory budget into the stores' buffer-cache model,
+	// split evenly across the segments, and reset residency, so each run's
+	// probe accounting starts cold.
+	for _, st := range m.stores {
+		if limiter, ok := st.(txdb.CacheLimiter); ok {
+			limiter.SetCacheLimit(cfg.MemoryBudget / int64(len(m.stores)))
+		}
 	}
-	// Attach telemetry to the index for the duration of the run, so the
-	// bulk estimate paths (adaptive phase 3, fold) account themselves.
-	if cfg.Observe != nil {
-		m.idx.SetObserver(cfg.Observe)
-		defer m.idx.SetObserver(nil)
-	}
+	// The run's view carries its telemetry, so the bulk estimate paths
+	// (adaptive phase 3, fold) account themselves.
+	idx := m.idx.WithObserver(cfg.Observe)
 	mineTick := cfg.Observe.Tick()
 	var res *Result
 	var err error
-	if cfg.MemoryBudget > 0 && m.idx.TotalBytes() > cfg.MemoryBudget {
-		res, err = m.mineAdaptive(cfg)
+	if cfg.MemoryBudget > 0 && idx.TotalBytes() > cfg.MemoryBudget {
+		res, err = m.mineAdaptive(cfg, idx)
 	} else {
-		res, err = m.mineResident(cfg, m.idx)
+		res, err = m.mineResident(cfg, idx)
 	}
 	cfg.Observe.PhaseDone(obs.PhaseMine, mineTick)
 	return res, err
@@ -278,7 +293,7 @@ func (m *Miner) Mine(cfg Config) (*Result, error) {
 
 // mineResident runs filtering (and, for the probe schemes, integrated
 // refinement) against a memory-resident index, then refines leftovers.
-func (m *Miner) mineResident(cfg Config, idx *sigfile.BBS) (*Result, error) {
+func (m *Miner) mineResident(cfg Config, idx *sigfile.Segments) (*Result, error) {
 	// Fault the index into the buffer pool (cold pages only — a persistent
 	// index stays resident across mining sessions); every slice AND
 	// afterwards is an in-memory bitwise operation.

@@ -234,10 +234,10 @@ func TestMineValidation(t *testing.T) {
 	if _, err := miner.Mine(Config{MinSupport: 0}); err == nil {
 		t.Error("MinSupport 0 accepted")
 	}
-	if _, err := miner.Mine(Config{MinSupport: 2, Scheme: DFP, Constraint: bitvec.New(10)}); err == nil {
+	if _, err := miner.Mine(Config{MinSupport: 2, Scheme: DFP, Constraint: sigfile.VecOf(bitvec.New(10))}); err == nil {
 		t.Error("constrained DFP accepted; dual-filter certificates would be unsound")
 	}
-	if _, err := miner.Mine(Config{MinSupport: 2, Scheme: SFS, Constraint: bitvec.New(3)}); err == nil {
+	if _, err := miner.Mine(Config{MinSupport: 2, Scheme: SFS, Constraint: sigfile.VecOf(bitvec.New(3))}); err == nil {
 		t.Error("mismatched constraint length accepted")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"bbsmine/internal/bitvec"
 	"bbsmine/internal/obs"
 	"bbsmine/internal/sigfile"
 	"bbsmine/internal/sighash"
@@ -24,12 +23,12 @@ const (
 // level-1 alphabet arrays) and the concurrency-safe vector pool.
 type run struct {
 	m   *Miner
-	idx *sigfile.BBS // the index filtered against (the full BBS or a MemBBS)
+	idx *sigfile.Segments // the view filtered against (the full BBS or a MemBBS)
 	cfg Config
 	tau int
 
-	workers int          // resolved parallelism; 1 = the seed's sequential path
-	vecs    *bitvec.Pool // residual-vector pool shared across workers
+	workers int              // resolved parallelism; 1 = the seed's sequential path
+	vecs    *sigfile.VecPool // residual pool shared across workers
 
 	// done caches cfg.Ctx.Done() so the cancellation poll on the hot paths
 	// is one nil check plus (when serving) one channel select; nil when the
@@ -50,10 +49,10 @@ type run struct {
 	// derived from it. Read-only after the sweep; shared by worker clones.
 	posCache [][]int
 
-	applied []bool           // slice positions already ANDed into the path
-	scratch []*bitvec.Vector // one evaluation buffer per depth
+	applied []bool         // slice positions already ANDed into the path
+	scratch []*sigfile.Vec // one evaluation buffer per depth
 
-	rootVec *bitvec.Vector // level-0 residual (all ones, or the constraint)
+	rootVec *sigfile.Vec // level-0 residual (all ones, or the constraint)
 	rootEst int
 
 	itemset []txdb.Item // current path
@@ -92,7 +91,7 @@ type run struct {
 	traceSubtree int
 }
 
-func newRun(m *Miner, idx *sigfile.BBS, cfg Config) *run {
+func newRun(m *Miner, idx *sigfile.Segments, cfg Config) *run {
 	var done <-chan struct{}
 	if cfg.Ctx != nil {
 		done = cfg.Ctx.Done()
@@ -104,7 +103,7 @@ func newRun(m *Miner, idx *sigfile.BBS, cfg Config) *run {
 		cfg:          cfg,
 		tau:          cfg.MinSupport,
 		workers:      cfg.workerCount(),
-		vecs:         bitvec.NewPool(idx.Len()),
+		vecs:         idx.NewPool(),
 		applied:      make([]bool, idx.M()),
 		obs:          cfg.Observe,
 		traceSubtree: -1,
@@ -153,14 +152,14 @@ type ext struct {
 	est     int
 	count   int // dual filter: the count CheckCount (or a probe) settled on
 	flag    int
-	vec     *bitvec.Vector // residual vector; kept only when descend is set
-	newPos  []int          // slice positions this item added over the parent
+	vec     *sigfile.Vec // residual vector; kept only when descend is set
+	newPos  []int        // slice positions this item added over the parent
 	descend bool
 }
 
 // root returns the level-0 residual vector — the live rows, optionally
 // restricted by the constraint — and its count.
-func (r *run) root() (*bitvec.Vector, int) {
+func (r *run) root() (*sigfile.Vec, int) {
 	v := r.idx.NewResult()
 	est := r.idx.Live()
 	if r.cfg.Constraint != nil {
@@ -188,26 +187,11 @@ func (r *run) filter() {
 	// Level-1 sweep. The alphabet arrays (items/est1/act1) are what
 	// CheckCount consults for I1 = {i} at any depth, and each survivor's
 	// deduped, ordered positions are cached for every later evaluation.
-	buf := r.vecs.Get()
-	var newPos, pos []int
-	for _, it := range all {
-		if r.cancelled() {
-			break
-		}
-		pos = sighash.AppendSignatureBits(pos[:0], r.idx.Hasher(), []int32{it})
-		if !r.cfg.NoSliceOrdering {
-			r.idx.OrderRarestFirst(pos)
-		}
-		newPos = newPos[:0]
-		est := r.evalExtension(buf, r.rootVec, r.rootEst, it, pos, &newPos)
-		if est >= r.tau {
-			r.items = append(r.items, it)
-			r.est1 = append(r.est1, est)
-			r.act1 = append(r.act1, r.idx.ExactCount(it))
-			r.posCache = append(r.posCache, append([]int(nil), pos...))
-		}
+	if r.workers > 1 {
+		r.sweepParallel(all)
+	} else {
+		r.sweep(all)
 	}
-	r.vecs.Put(buf)
 	if r.obs != nil {
 		// The sweep consulted the hasher for every item; reclassify its
 		// evaluations from cache hits (evalExtension's default) to misses.
@@ -235,18 +219,46 @@ func (r *run) filter() {
 	r.flushKernel()
 }
 
+// sweep evaluates each item's 1-itemset estimate against the root and
+// appends the items reaching τ to the alphabet arrays, in the given order.
+func (r *run) sweep(items []txdb.Item) {
+	buf := r.vecs.Get()
+	defer r.vecs.Put(buf)
+	var newPos, pos []int
+	for _, it := range items {
+		if r.cancelled() {
+			return
+		}
+		pos = sighash.AppendSignatureBits(pos[:0], r.idx.Hasher(), []int32{it})
+		if !r.cfg.NoSliceOrdering {
+			r.idx.OrderRarestFirst(pos)
+		}
+		newPos = newPos[:0]
+		est := r.evalExtension(buf, r.rootVec, r.rootEst, it, pos, &newPos)
+		if est >= r.tau {
+			r.items = append(r.items, it)
+			r.est1 = append(r.est1, est)
+			r.act1 = append(r.act1, r.idx.ExactCount(it))
+			r.posCache = append(r.posCache, append([]int(nil), pos...))
+		}
+	}
+}
+
 // evalExtension computes est(r.itemset ∪ {it}) into scratch and records the
 // slice positions the item adds over the current path. itemPos is the item's
 // distinct slice positions — r.posCache[gi] below level 1, the sweep's
 // scratch during it — and newPos inherits its order, so rarest-first
 // propagates from the cache into the AND loop. The default path reuses the
-// parent's residual vector and ANDs only the new positions, with an early
-// exit once the count falls below τ; the ablation knobs
-// (Config.NoIncrementalAnd, Config.NoEarlyExit) fall back to the naive
-// evaluations the benchmarks compare against.
+// parent's residual vector and ANDs only the new positions, segment by
+// segment, with an early exit once the summed count falls below τ; the
+// ablation knobs (Config.NoIncrementalAnd, Config.NoEarlyExit) fall back to
+// the naive evaluations the benchmarks compare against.
+//
+// With telemetry on, the same loop tallies which kernel each AND runs and
+// how many words it visits, batched into r.kern (flushed per worker).
 //
 //lint:hotpath
-func (r *run) evalExtension(scratch, parentVec *bitvec.Vector, parentEst int, it txdb.Item, itemPos []int, newPos *[]int) int {
+func (r *run) evalExtension(scratch, parentVec *sigfile.Vec, parentEst int, it txdb.Item, itemPos []int, newPos *[]int) int {
 	r.m.stats.AddCountCall()
 	for _, p := range itemPos {
 		if !r.applied[p] {
@@ -277,46 +289,25 @@ func (r *run) evalExtension(scratch, parentVec *bitvec.Vector, parentEst int, it
 	}
 	scratch.CopyFrom(parentVec)
 	est := parentEst
-	if r.obs != nil {
-		return r.evalExtensionObserved(scratch, est, *newPos)
-	}
-	for _, p := range *newPos {
-		est = r.idx.AndSlice(scratch, p)
-		if est < r.tau && !r.cfg.NoEarlyExit {
-			break
-		}
-	}
-	return est
-}
-
-// evalExtensionObserved is evalExtension's AND loop with kernel telemetry:
-// identical slices, order and early exit, plus per-AND accounting of which
-// kernel ran and how many words it visited, batched into r.kern. Split out
-// so the uninstrumented loop pays exactly one branch.
-func (r *run) evalExtensionObserved(scratch *bitvec.Vector, est int, newPos []int) int {
 	done := 0
-	for _, p := range newPos {
-		words, sparse := scratch.WordStats()
-		if sparse {
-			r.kern.AndsSparse++
-			r.kern.WordsSparse += int64(words)
-		} else {
-			r.kern.AndsDense++
-			r.kern.WordsDense += int64(words)
+	for _, p := range *newPos {
+		if r.obs != nil {
+			r.idx.TallyAnd(&r.kern, scratch, p)
 		}
-		r.kern.CountEncoding(int(r.idx.SliceEncoding(p)))
 		est = r.idx.AndSlice(scratch, p)
 		done++
 		if est < r.tau && !r.cfg.NoEarlyExit {
 			break
 		}
 	}
-	r.kern.Evals++
-	r.kern.PosCacheHits++ // positions came from posCache; the sweep reclassifies its own
-	if done < len(newPos) {
-		r.kern.EarlyExits++
+	if r.obs != nil {
+		r.kern.Evals++
+		r.kern.PosCacheHits++ // positions came from posCache; the sweep reclassifies its own
+		if done < len(*newPos) {
+			r.kern.EarlyExits++
+		}
+		r.obs.ObserveAndDepth(int64(done))
 	}
-	r.obs.ObserveAndDepth(int64(done))
 	return est
 }
 
@@ -324,7 +315,7 @@ func (r *run) evalExtensionObserved(scratch *bitvec.Vector, est int, newPos []in
 // alphabet extension, record candidates per the scheme, then recurse into
 // the extensions that survived, each seeing the later extensions as its
 // alphabet (paper Figs. 2/4: I ← I − {i}, recurse on the remaining I).
-func (r *run) node(alphabet []int, parentVec *bitvec.Vector, parentEst, parentCount, parentFlag int) {
+func (r *run) node(alphabet []int, parentVec *sigfile.Vec, parentEst, parentCount, parentFlag int) {
 	if len(alphabet) == 0 || r.cancelled() {
 		return
 	}
@@ -368,7 +359,7 @@ func (r *run) node(alphabet []int, parentVec *bitvec.Vector, parentEst, parentCo
 // applies the scheme-specific candidate handling; it is the first half of
 // node, shared with the parallel engine, which turns the surviving
 // extensions of the root into subtree tasks instead of recursing.
-func (r *run) expandNode(alphabet []int, scratch, parentVec *bitvec.Vector, parentEst, parentCount, parentFlag int) []ext {
+func (r *run) expandNode(alphabet []int, scratch, parentVec *sigfile.Vec, parentEst, parentCount, parentFlag int) []ext {
 	depth := len(r.itemset)
 	exts := make([]ext, 0, len(alphabet))
 	var newPos []int
@@ -393,7 +384,7 @@ func (r *run) expandNode(alphabet []int, scratch, parentVec *bitvec.Vector, pare
 			e.vec.CopyFrom(scratch)
 			// This residual seeds a whole subtree of ANDs; if it has gone
 			// sparse, pay one sweep now so they all run the sparse kernel.
-			e.vec.MaybeSummarize(est)
+			e.vec.MaybeSummarize()
 		}
 		exts = append(exts, e)
 	}
@@ -402,7 +393,7 @@ func (r *run) expandNode(alphabet []int, scratch, parentVec *bitvec.Vector, pare
 
 // evaluateCandidate applies the scheme-specific handling to one candidate
 // (r.itemset ∪ alphabet item), deciding acceptance and descent.
-func (r *run) evaluateCandidate(e *ext, vec *bitvec.Vector, parentEst, parentCount, parentFlag, depth int) {
+func (r *run) evaluateCandidate(e *ext, vec *sigfile.Vec, parentEst, parentCount, parentFlag, depth int) {
 	itemset := append(r.itemset, r.items[e.gi])
 	probing := r.cfg.Scheme.probes() && !r.disableProbing
 
@@ -531,26 +522,26 @@ func (r *run) checkCount(gi, parentEst, parentCount, parentFlag, childEst, depth
 // worker pool, a probe with enough surviving bits fans its fetches out
 // across the configured workers; inside a worker it stays sequential (the
 // concurrency already comes from the sibling subtrees).
-func (r *run) probeExact(vec *bitvec.Vector, itemset []txdb.Item) int {
+func (r *run) probeExact(vec *sigfile.Vec, itemset []txdb.Item) int {
 	r.probedPatterns++
-	if r.workers > 1 && !r.inWorker && vec.CountUpTo(probeFanOutMin) >= probeFanOutMin {
+	if r.workers > 1 && !r.inWorker && vec.Count() >= probeFanOutMin {
 		exact := probeParallel(r.m, vec, itemset, r.workers)
 		if r.obs.Tracing() {
 			// probeParallel leaves vec untouched, so its popcount is the
-			// fetch count; the sweep is tracing-only.
+			// fetch count.
 			r.obs.Emit(obs.Event{Kind: "probe", Subtree: r.traceSubtree, Depth: len(itemset),
 				Items: snapshot(itemset), Fetched: vec.Count(), Exact: exact})
 		}
 		return exact
 	}
 	exact, fetched := 0, 0
-	vec.ForEachSet(func(pos int) bool {
+	vec.ForEachSet(func(seg, local int) bool {
 		// Poll cancellation between fetch batches so a probe over a dense
 		// result vector cannot stall a cancelled request.
 		if fetched&1023 == 1023 && r.cancelled() {
 			return false
 		}
-		tx, err := r.m.store.Get(pos)
+		tx, err := r.m.stores[seg].Get(local)
 		r.m.stats.AddProbe()
 		fetched++
 		if err == nil && tx.Contains(itemset) {

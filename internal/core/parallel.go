@@ -5,8 +5,8 @@ import (
 	"sort"
 	"sync"
 
-	"bbsmine/internal/bitvec"
 	"bbsmine/internal/mining"
+	"bbsmine/internal/sigfile"
 	"bbsmine/internal/txdb"
 )
 
@@ -156,6 +156,42 @@ func (r *run) filterParallel(alphabet []int) {
 	}
 }
 
+// sweepParallel is the workers > 1 path of the level-1 sweep: the items
+// split into contiguous ascending chunks, one per worker, each swept
+// against the shared read-only root with the worker's own buffer and
+// kernel tallies. The chunks' survivors concatenate in chunk order, so the
+// alphabet arrays are exactly the sequential sweep's, and every item costs
+// the same ANDs either way. The sweep evaluates every item in the index —
+// the largest share of a mine at the paper's thresholds — so it fans out
+// like the enumeration below it.
+func (r *run) sweepParallel(all []txdb.Item) {
+	workers := min(r.workers, len(all))
+	span := (len(all) + workers - 1) / max(workers, 1)
+	chunks := make([]*run, workers)
+	var wg sync.WaitGroup
+	for w := range chunks {
+		wr := r.workerRun()
+		chunks[w] = wr
+		items := all[min(w*span, len(all)):min((w+1)*span, len(all))]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wr.sweep(items)
+			wr.flushKernel()
+		}()
+	}
+	wg.Wait()
+	for _, wr := range chunks {
+		if wr.err != nil && r.err == nil {
+			r.err = wr.err
+		}
+		r.items = append(r.items, wr.items...)
+		r.est1 = append(r.est1, wr.est1...)
+		r.act1 = append(r.act1, wr.act1...)
+		r.posCache = append(r.posCache, wr.posCache...)
+	}
+}
+
 // workerRun clones the run for one pool worker: shared read-only context
 // (miner, index, config, alphabet arrays, vector pool) plus private path
 // state, so the worker's slice-AND hot path stays allocation-free across
@@ -235,7 +271,7 @@ type phase3Outcome struct {
 // probe schemes, probes the survivors immediately. Outcomes are recorded by
 // candidate position and consumed in order, so accepted patterns, false
 // drops, and probe counts match the sequential pass exactly.
-func (m *Miner) reverifyParallel(r *run, cands []Pattern, cfg Config, workers int) (accepted, survivors []Pattern, falseDrops, probed int) {
+func (m *Miner) reverifyParallel(r *run, full *sigfile.Segments, cands []Pattern, cfg Config, workers int) (accepted, survivors []Pattern, falseDrops, probed int) {
 	outs := make([]phase3Outcome, len(cands))
 	queue := make(chan int)
 	var wg sync.WaitGroup
@@ -244,7 +280,7 @@ func (m *Miner) reverifyParallel(r *run, cands []Pattern, cfg Config, workers in
 		go func() {
 			defer wg.Done()
 			wr := r.workerRun()
-			buf := r.vecs.Get() // same length: Fold preserves n
+			buf := r.vecs.Get() // same shape: Fold preserves every segment's n
 			defer r.vecs.Put(buf)
 			var posBuf []int // per-worker position scratch
 			for i := range queue {
@@ -252,7 +288,7 @@ func (m *Miner) reverifyParallel(r *run, cands []Pattern, cfg Config, workers in
 					continue // drain; mineAdaptive surfaces the error after the pass
 				}
 				c := cands[i]
-				est := m.idx.CountIntoBuf(buf, c.Items, &posBuf)
+				est := full.CountIntoBuf(buf, c.Items, &posBuf)
 				if cfg.Constraint != nil && est > 0 {
 					est = buf.AndCount(cfg.Constraint)
 				}
@@ -300,37 +336,38 @@ func (m *Miner) reverifyParallel(r *run, cands []Pattern, cfg Config, workers in
 	return accepted, survivors, falseDrops, probed
 }
 
-// probeParallel is probeExact with the fetches fanned out: the result
-// vector is split into word-aligned position ranges, one per worker, and
-// the per-range exact counts are summed. Fetch order within the file stays
-// ascending per worker, preserving the elevator-sweep access pattern the
+// probeParallel is probeExact with the fetches fanned out: each segment's
+// residual is split into word-aligned position ranges, one per worker, and
+// the per-range exact counts are summed. Fetch order within each store stays
+// ascending per range, preserving the elevator-sweep access pattern the
 // cost model assumes; the total is independent of the split.
-func probeParallel(m *Miner, vec *bitvec.Vector, itemset []txdb.Item, workers int) int {
-	n := vec.Len()
-	span := (n/workers + 64) &^ 63 // word-aligned chunk, ≥ 64 bits
-	counts := make([]int, workers)
+func probeParallel(m *Miner, vec *sigfile.Vec, itemset []txdb.Item, workers int) int {
+	type chunk struct{ seg, lo, hi int }
+	var chunks []chunk
+	for s := 0; s < vec.Segments(); s++ {
+		n := vec.Segment(s).Len()
+		span := (n/workers + 64) &^ 63 // word-aligned chunk, ≥ 64 bits
+		for lo := 0; lo < n; lo += span {
+			chunks = append(chunks, chunk{s, lo, min(lo+span, n)})
+		}
+	}
+	counts := make([]int, len(chunks))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*span, (w+1)*span
-		if lo >= n {
-			break
-		}
-		if hi > n {
-			hi = n
-		}
+	for i, c := range chunks {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(i int, c chunk) {
 			defer wg.Done()
+			seg, store := vec.Segment(c.seg), m.stores[c.seg]
 			exact := 0
-			for i, ok := vec.NextSet(lo); ok && i < hi; i, ok = vec.NextSet(i + 1) {
-				tx, err := m.store.Get(i)
+			for j, ok := seg.NextSet(c.lo); ok && j < c.hi; j, ok = seg.NextSet(j + 1) {
+				tx, err := store.Get(j)
 				m.stats.AddProbe()
 				if err == nil && tx.Contains(itemset) {
 					exact++
 				}
 			}
-			counts[w] = exact
-		}(w, lo, hi)
+			counts[i] = exact
+		}(i, c)
 	}
 	wg.Wait()
 	exact := 0
@@ -384,15 +421,12 @@ func (m *Miner) countBatchParallel(candidates []Pattern, workers int) (*batchSup
 	}
 
 	chunk := make([]txdb.Transaction, 0, scanChunk)
-	err := m.store.Scan(func(pos int, tx txdb.Transaction) bool {
-		if m.idx.IsLive(pos) {
-			chunk = append(chunk, tx)
-			if len(chunk) == scanChunk {
-				chunks <- chunk
-				chunk = make([]txdb.Transaction, 0, scanChunk)
-			}
+	err := m.scanLive(func(tx txdb.Transaction) {
+		chunk = append(chunk, tx)
+		if len(chunk) == scanChunk {
+			chunks <- chunk
+			chunk = make([]txdb.Transaction, 0, scanChunk)
 		}
-		return true
 	})
 	if len(chunk) > 0 {
 		chunks <- chunk

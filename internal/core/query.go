@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"bbsmine/internal/bitvec"
+	"bbsmine/internal/sigfile"
 	"bbsmine/internal/sighash"
 	"bbsmine/internal/txdb"
 )
@@ -20,33 +21,39 @@ func (m *Miner) Count(itemset []txdb.Item) (est, exact int, err error) {
 }
 
 // CountConstrained answers the paper's second ad-hoc query: the count of an
-// itemset among the transactions marked in the constraint slice (e.g. "TIDs
-// divisible by 7"). A nil constraint means no restriction.
-func (m *Miner) CountConstrained(itemset []txdb.Item, constraint *bitvec.Vector) (est, exact int, err error) {
+// itemset among the transactions marked in the constraint (e.g. "TIDs
+// divisible by 7"). A nil constraint means no restriction. Every segment
+// ANDs its own slices, the estimates add, and each candidate row is probed
+// in its own segment's store.
+func (m *Miner) CountConstrained(itemset []txdb.Item, constraint *sigfile.Vec) (est, exact int, err error) {
 	sorted := append([]txdb.Item(nil), itemset...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	idx := m.idx
+	if constraint != nil {
+		if err := m.checkConstraint(constraint); err != nil {
+			return 0, 0, err
+		}
+	}
 
 	// An ad-hoc query touches only the slices of the itemset's signature
-	// (plus the constraint slice); charge those reads — this is exactly the
-	// I/O advantage over Apriori's full database scan (Figure 13).
-	m.idx.ChargeSliceReads(len(sighash.SignatureBits(m.idx.Hasher(), sorted)))
-	var vec *bitvec.Vector
+	// (plus the constraint slice) in each segment; charge those reads —
+	// this is exactly the I/O advantage over Apriori's full database scan
+	// (Figure 13).
+	idx.ChargeSliceReads(len(sighash.SignatureBits(idx.Hasher(), sorted)))
+	est, vec := idx.CountItemSet(sorted)
 	if constraint != nil {
-		if constraint.Len() != m.idx.Len() {
-			return 0, 0, fmt.Errorf("core: constraint length %d != index length %d", constraint.Len(), m.idx.Len())
+		idx.ChargeSliceReads(1)
+		if est > 0 {
+			m.stats.AddSliceAnd()
+			est = vec.AndCount(constraint)
 		}
-		m.idx.ChargeSliceReads(1)
-		est, vec = m.idx.CountConstrained(sorted, constraint)
-	} else {
-		est, vec = m.idx.CountItemSet(sorted)
 	}
 	if est == 0 {
 		return 0, 0, nil
 	}
-	exact = 0
 	var getErr error
-	vec.ForEachSet(func(pos int) bool {
-		tx, err := m.store.Get(pos)
+	vec.ForEachSet(func(seg, local int) bool {
+		tx, err := m.stores[seg].Get(local)
 		m.stats.AddProbe()
 		if err != nil {
 			getErr = err
@@ -63,24 +70,56 @@ func (m *Miner) CountConstrained(itemset []txdb.Item, constraint *bitvec.Vector)
 	return est, exact, nil
 }
 
-// BuildConstraint materializes a constraint slice from a predicate over the
-// stored transactions, e.g. "TID divisible by 7". It costs one sequential
-// pass; the paper's Section 3.4 notes that constructing slices for
-// arbitrary constraints is outside its scope, so this helper keeps it
-// explicit and reusable — build once, query many times.
-func BuildConstraint(store txdb.Store, pred func(pos int, tx txdb.Transaction) bool) (*bitvec.Vector, error) {
-	//lint:ignore pooledvec one-off cold-path build; needs a zeroed vector and no run (or pool) is in scope
-	v := bitvec.New(store.Len())
-	err := store.Scan(func(pos int, tx txdb.Transaction) bool {
-		if pred(pos, tx) {
-			v.Set(pos)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: building constraint: %w", err)
+// checkConstraint rejects a constraint not shaped for the miner's segments
+// (built over another database, or before rows were appended).
+func (m *Miner) checkConstraint(c *sigfile.Vec) error {
+	parts := m.idx.Parts()
+	ok := c.Segments() == len(parts)
+	for s := 0; ok && s < len(parts); s++ {
+		ok = c.Segment(s).Len() == parts[s].Len()
 	}
-	return v, nil
+	if !ok {
+		return fmt.Errorf("core: constraint length %d != index length %d", c.Len(), m.idx.Len())
+	}
+	return nil
+}
+
+// BuildConstraint materializes a one-segment constraint from a predicate
+// over a store's transactions, e.g. "TID divisible by 7". It costs one
+// sequential pass; the paper's Section 3.4 notes that constructing slices
+// for arbitrary constraints is outside its scope, so this helper keeps it
+// explicit and reusable — build once, query many times. Miner.Constraint
+// builds one over every segment.
+func BuildConstraint(store txdb.Store, pred func(pos int, tx txdb.Transaction) bool) (*sigfile.Vec, error) {
+	return buildConstraint([]txdb.Store{store}, pred)
+}
+
+// Constraint materializes a constraint over every segment of the miner, one
+// sequential pass per segment store; the result is opaque to callers and
+// valid until a segment grows.
+func (m *Miner) Constraint(pred func(tx txdb.Transaction) bool) (*sigfile.Vec, error) {
+	return buildConstraint(m.stores, func(_ int, tx txdb.Transaction) bool { return pred(tx) })
+}
+
+// buildConstraint builds a constraint with one segment per store; pred sees
+// each transaction's position within its own store.
+func buildConstraint(stores []txdb.Store, pred func(pos int, tx txdb.Transaction) bool) (*sigfile.Vec, error) {
+	segs := make([]*bitvec.Vector, len(stores))
+	for s, store := range stores {
+		//lint:ignore pooledvec one-off cold-path build; needs a zeroed vector and no run (or pool) is in scope
+		v := bitvec.New(store.Len())
+		err := store.Scan(func(pos int, tx txdb.Transaction) bool {
+			if pred(pos, tx) {
+				v.Set(pos)
+			}
+			return true
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: building constraint: %w", err)
+		}
+		segs[s] = v
+	}
+	return sigfile.VecOf(segs...), nil
 }
 
 // MineApprox is the paper's future-work extension (Section 5): filtering

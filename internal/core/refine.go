@@ -67,16 +67,28 @@ func (m *Miner) countBatch(batch []Pattern, workers int) (*batchSupport, error) 
 	for _, c := range batch {
 		counter.Add(c.Items)
 	}
-	err := m.store.Scan(func(pos int, tx txdb.Transaction) bool {
-		if m.idx.IsLive(pos) {
-			counter.CountTransaction(tx.Items)
-		}
-		return true
-	})
-	if err != nil {
+	if err := m.scanLive(func(tx txdb.Transaction) { counter.CountTransaction(tx.Items) }); err != nil {
 		return nil, err
 	}
 	return &batchSupport{counters: []*mining.Counter{counter}}, nil
+}
+
+// scanLive makes one sequential pass over every segment's store, in segment
+// order, handing fn each live transaction. Support counting is a sum over
+// rows, so the segment order never shows in a result.
+func (m *Miner) scanLive(fn func(tx txdb.Transaction)) error {
+	for s, store := range m.stores {
+		part := m.idx.Parts()[s]
+		if err := store.Scan(func(pos int, tx txdb.Transaction) bool {
+			if part.IsLive(pos) {
+				fn(tx)
+			}
+			return true
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // batchEnd returns the end of the batch starting at start such that the

@@ -10,6 +10,7 @@ package exp
 
 import (
 	"fmt"
+	"path/filepath"
 
 	"bbsmine/internal/iostat"
 	"bbsmine/internal/pager"
@@ -153,11 +154,11 @@ func BenchJSON(p Params) ([]BenchRecord, error) {
 }
 
 // runShardedObserved mines one BBS scheme over an N-sharded in-memory
-// database's merged read view, keeping the best of p.Repeat attempts. The
-// merged view is a row permutation of the unsharded index, so the mined
-// patterns and the whole funnel are byte-identical to RunSchemeObserved —
-// what changes is the layout under measurement (per-shard slices, merge
-// cost, concatenated store).
+// database, keeping the best of p.Repeat attempts. The miner binds to the
+// shards in place, so the mined patterns and the whole funnel are
+// byte-identical to RunSchemeObserved — what changes is the layout under
+// measurement (per-shard slices, per-shard stores, and under a budget
+// per-shard cold files faulting through one shared pool).
 func runShardedObserved(name string, txs []txdb.Transaction, tau int, p Params) (Metrics, error) {
 	scheme, ok := bbsScheme(name)
 	if !ok {
@@ -182,21 +183,26 @@ func runShardedObserved(name string, txs []txdb.Transaction, tau int, p Params) 
 		if p.Compress {
 			sdb.SetCompression(true)
 		}
-		idx, store, err := sdb.Merged()
+		miner, err := sdb.Miner()
 		if err != nil {
 			return Metrics{}, err
 		}
-		// Tiering applies to the merged view — the layout under measurement
-		// — so the sharded tiered leg exercises the same cold kernels over
-		// the merge-permuted slice table.
 		var pg *pager.Pager
 		if p.MemBudget > 0 {
+			label := fmt.Sprintf("%s-s%d", name, p.Shards)
+			stores := make([]txdb.Store, sdb.Shards())
+			for s := range stores {
+				stores[s] = sdb.Store(s)
+			}
+			tierIndex := func(pg *pager.Pager, hotBudget int64, touches []uint64) error {
+				return sdb.Tier(pg, filepath.Join(p.TierDir, label), hotBudget, touches)
+			}
 			spec := TierSpec{MemBudget: p.MemBudget, Dir: p.TierDir}
-			if pg, err = spec.tier(fmt.Sprintf("%s-s%d", name, p.Shards), scheme, idx, store, &stats, tau, p.Workers); err != nil {
+			if pg, err = spec.tier(label, scheme, miner, stores, tau, p.Workers, tierIndex); err != nil {
 				return Metrics{}, err
 			}
 		}
-		met, err := timeBBSMine(name, scheme, idx, store, &stats, tau, 0, p.Workers, true, pg)
+		met, err := timeBBSMine(name, scheme, miner, sdb.Index(), &stats, tau, 0, p.Workers, true, pg)
 		if err != nil {
 			return Metrics{}, err
 		}

@@ -51,7 +51,7 @@ type Params struct {
 	Scale   float64 // multiplies D (and the web-log sizes) for quick runs
 	Repeat  int     // timing repetitions; the median is reported
 	Workers int     // mining worker pool size; 1 (the default) keeps figure timings single-threaded
-	Shards  int     // BBS shard count for -json runs; mining binds the merged view, the answer never changes (1 = unsharded)
+	Shards  int     // BBS shard count for -json runs; mining reads the shards in place, the answer never changes (1 = unsharded)
 
 	// Compress turns on adaptive per-slice storage (dense / sparse
 	// positions / run-length) for the -json runs. Mining answers are
@@ -233,31 +233,32 @@ type TierSpec struct {
 
 // tier re-platforms an already-built bench index on a fresh buffer pool:
 // an unobserved-by-the-clock profiling mine collects per-slice AND
-// participation, Tier pins the hottest slices inside half the budget and
-// spills the rest to a cold file, and the store's page residency (when the
-// store supports it) moves onto the same pool. Returns the pool so the
-// timed run can snapshot its gauges.
-func (t TierSpec) tier(name string, scheme core.Scheme, idx *sigfile.BBS, store txdb.Store, stats *iostat.Stats, tau, workers int) (*pager.Pager, error) {
+// participation, tierIndex pins the hottest slices inside half the budget
+// and spills the rest to cold files, and each store's page residency (when
+// the store supports it) moves onto the same pool, the way bbsd attaches
+// its shards' data files. Returns the pool so the timed run can snapshot
+// its gauges.
+func (t TierSpec) tier(name string, scheme core.Scheme, miner *core.Miner, stores []txdb.Store, tau, workers int,
+	tierIndex func(pg *pager.Pager, hotBudget int64, touches []uint64) error) (*pager.Pager, error) {
 	if t.Dir == "" {
 		return nil, fmt.Errorf("exp: tiered run needs a scratch dir for cold files")
-	}
-	miner, err := core.NewMiner(idx, store, stats)
-	if err != nil {
-		return nil, err
 	}
 	reg := obs.New()
 	if _, err := miner.Mine(core.Config{MinSupport: tau, Scheme: scheme, Workers: workers, Observe: reg}); err != nil {
 		return nil, fmt.Errorf("exp: tier profiling run: %w", err)
 	}
 	pg := pager.New(t.MemBudget)
-	path := filepath.Join(t.Dir, name+".cold")
-	if err := idx.Tier(pg, path, t.MemBudget/2, reg.SliceTouches()); err != nil {
+	if err := tierIndex(pg, t.MemBudget/2, reg.SliceTouches()); err != nil {
 		return nil, err
 	}
-	// The merged sharded store deliberately stays off the pager (its page
-	// numbering overlaps across parts), so the assertion failing is fine.
-	if pb, ok := store.(txdb.PagerBacked); ok {
-		pb.AttachPager(pg.Virtual("txdb/" + name))
+	for s, store := range stores {
+		virt := "txdb/" + name
+		if len(stores) > 1 {
+			virt += fmt.Sprintf("/shard-%d", s)
+		}
+		if pb, ok := store.(txdb.PagerBacked); ok {
+			pb.AttachPager(pg.Virtual(virt))
+		}
 	}
 	return pg, nil
 }
@@ -277,13 +278,20 @@ func runSchemeOnce(name string, txs []txdb.Transaction, tau int, m, k int, memBu
 		if compress {
 			idx.SetCompression(true)
 		}
+		miner, err := core.NewMiner(idx, store, &stats)
+		if err != nil {
+			return Metrics{}, err
+		}
 		var pg *pager.Pager
 		if tier.MemBudget > 0 {
-			if pg, err = tier.tier(name, scheme, idx, store, &stats, tau, workers); err != nil {
+			tierIndex := func(pg *pager.Pager, hotBudget int64, touches []uint64) error {
+				return idx.Tier(pg, filepath.Join(tier.Dir, name+".cold"), hotBudget, touches)
+			}
+			if pg, err = tier.tier(name, scheme, miner, []txdb.Store{store}, tau, workers, tierIndex); err != nil {
 				return Metrics{}, err
 			}
 		}
-		return timeBBSMine(name, scheme, idx, store, &stats, tau, memBudget, workers, observe, pg)
+		return timeBBSMine(name, scheme, miner, idx, &stats, tau, memBudget, workers, observe, pg)
 	}
 
 	switch name {
@@ -317,16 +325,21 @@ func runSchemeOnce(name string, txs []txdb.Transaction, tau int, m, k int, memBu
 	return Metrics{}, fmt.Errorf("exp: unknown scheme %q", name)
 }
 
-// timeBBSMine times one mining run over an already-built (index, store)
-// pair — index construction is not part of a mining run, so stats reset
-// just before the clock starts. Shared by the flat and sharded runners.
-// pg is the buffer pool of a tiered run (nil when resident); the pool saw
-// no traffic before the timed run, so its counters are the run's.
-func timeBBSMine(name string, scheme core.Scheme, idx *sigfile.BBS, store txdb.Store, stats *iostat.Stats, tau int, memBudget int64, workers int, observe bool, pg *pager.Pager) (Metrics, error) {
-	miner, err := core.NewMiner(idx, store, stats)
-	if err != nil {
-		return Metrics{}, err
-	}
+// benchIndex is what a timed bench mine reports about the index it ran
+// over: a flat *sigfile.BBS or a sharded *shard.Index.
+type benchIndex interface {
+	TotalBytes() int64
+	ResidentSliceBytes() int64
+	Compressed() bool
+	TierCensus() (hot, cold int)
+}
+
+// timeBBSMine times one mining run with an already-bound miner — index
+// construction is not part of a mining run, so stats reset just before the
+// clock starts. Shared by the flat and sharded runners. pg is the buffer
+// pool of a tiered run (nil when resident); the pool saw no traffic before
+// the timed run, so its counters are the run's.
+func timeBBSMine(name string, scheme core.Scheme, miner *core.Miner, idx benchIndex, stats *iostat.Stats, tau int, memBudget int64, workers int, observe bool, pg *pager.Pager) (Metrics, error) {
 	var reg *obs.Registry
 	if observe {
 		reg = obs.New()

@@ -22,7 +22,7 @@ import (
 // Clock seam so tests control served timestamps. The one sanctioned read —
 // SystemClock in clock.go — carries a file-ignore directive. The sharded
 // index (internal/shard) sits between the engine and the serving layer and
-// follows the engine's rules: its fan-out accounting goes through the
+// follows the engine's rules: anything it reports goes through the
 // registry, never through exposition imports or direct clock reads.
 //
 // The load harness (cmd/bbsload) is in scope for the import ban only: it

@@ -323,8 +323,9 @@ func (r *Registry) AddKernel(k KernelSample) {
 // SetIndexStorage publishes the index's storage gauges: logical is the
 // all-dense slice footprint in bytes, resident the bytes actually held under
 // the current encodings, and dense/sparse/rle the per-encoding slice census.
-// Call whenever the storage shape changes (attach, SetCompression, Fold,
-// Merge); each call overwrites the previous gauge values.
+// Published by every observed mining run (summed over the index's
+// segments, and again for the adaptive fold); each call overwrites the
+// previous gauge values.
 func (r *Registry) SetIndexStorage(logical, resident int64, dense, sparse, rle int) {
 	if r == nil {
 		return

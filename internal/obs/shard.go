@@ -6,17 +6,19 @@ import (
 )
 
 // Per-shard serving counters. A sharded database routes writes to one shard
-// at a time and fans every count out to all of them, so the interesting
-// questions — is one shard hot? are the epochs advancing together? — need
-// per-shard resolution. Only what is semantically per-shard lives here
-// (epoch, committed batches, the operations they carried, fan-out count
-// calls); the mining funnel and kernel counters stay global, because mining
-// decisions are made over the merged view, not per shard.
+// at a time, so the interesting questions — is one shard hot? are the
+// epochs advancing together? — need per-shard resolution. Only what is
+// semantically per-shard lives here (epoch, committed batches, the
+// operations they carried); the mining funnel and kernel counters stay
+// global, because every mining decision reads sums over the shards: each
+// AND step runs in every shard and the popcounts add, so no verdict belongs
+// to one shard. A traced count shows each shard's share of an estimate as
+// shardcount events instead (see sigfile.Segments.CountIntoBuf).
 //
 // The shard set grows on first touch: the registry does not know N, and the
 // serving layer may publish shard 3's epoch before shard 0 sees traffic.
 // Growth swaps in a longer slice of pointers under a mutex; readers load
-// the slice atomically, so the hot path (one Add on a fan-out count) is a
+// the slice atomically, so the hot path (one Add per committed batch) is a
 // pointer load and an atomic increment, same cost discipline as every other
 // counter in this package.
 
@@ -26,7 +28,6 @@ type shardCounters struct {
 	epoch        atomic.Int64 // gauge
 	writeBatches atomic.Int64
 	writeOps     atomic.Int64
-	countCalls   atomic.Int64
 }
 
 // shardStats is the grow-on-first-touch set of per-shard counters. parts is
@@ -61,15 +62,6 @@ func (s *shardStats) at(i int) *shardCounters {
 	return grown[i]
 }
 
-// AddShardCount records one fan-out count call answered by shard s.
-func (r *Registry) AddShardCount(s int) {
-	if r == nil || s < 0 {
-		return
-	}
-	r.server.active.Store(true)
-	r.shards.at(s).countCalls.Add(1)
-}
-
 // SetShardEpoch publishes shard s's current epoch.
 func (r *Registry) SetShardEpoch(s int, epoch uint64) {
 	if r == nil || s < 0 {
@@ -96,7 +88,6 @@ type ShardMetrics struct {
 	Epoch        int64 `json:"epoch"`
 	WriteBatches int64 `json:"write_batches"`
 	WriteOps     int64 `json:"write_ops"`
-	CountCalls   int64 `json:"count_calls"`
 }
 
 // shardMetrics snapshots the per-shard counters; nil when no shard hook has
@@ -112,7 +103,6 @@ func (r *Registry) shardMetrics() []ShardMetrics {
 			Epoch:        c.epoch.Load(),
 			WriteBatches: c.writeBatches.Load(),
 			WriteOps:     c.writeOps.Load(),
-			CountCalls:   c.countCalls.Load(),
 		}
 	}
 	return out

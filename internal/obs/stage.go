@@ -5,8 +5,8 @@ package obs
 // serving engine therefore times every request's path through five stages
 // and feeds one LatencyHist per stage, so /metrics can answer *which* stage
 // moved — admission queueing (overload), cache lookup (lock contention),
-// merged-view bind (epoch churn invalidating the merge cache), mine time
-// (the query itself), or render time (answer size).
+// view bind (cloning the per-shard snapshots a query reads), mine time (the
+// query itself), or render time (answer size).
 
 // Stage identifies one timed stage of a served request. Stages are
 // sequential and disjoint, so their sum is a lower bound on the request's
@@ -21,8 +21,8 @@ const (
 	// StageCache is the query-cache lookup (and, for followers, the wait on
 	// the leader's flight).
 	StageCache
-	// StageBind is building the private mining view: snapshot clone on one
-	// shard, block-concat merge plus clone on many.
+	// StageBind is building the private mining view: one snapshot clone
+	// per shard, O(shards) header copies.
 	StageBind
 	// StageMine is the mining run itself.
 	StageMine

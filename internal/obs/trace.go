@@ -34,10 +34,10 @@ import (
 //	commit  — Shard, Count, DurNs: one per-shard commit batch (possibly
 //	          covering several requests' sub-batches)
 //
-// The sharded index adds one more, from the count fan-out:
+// A segmented count over several shards adds one more:
 //
-//	shardcount — Shard, Items, Est: one shard's contribution to a
-//	             scatter-gather support estimate
+//	shardcount — Shard, Items, Est: one shard's share of a summed support
+//	             estimate
 //
 // Shard tags the event's shard via pointer so shard 0 survives omitempty;
 // mining events leave it nil.

@@ -21,11 +21,12 @@
 // cut — a multi-shard write becomes visible shard by shard, and a query
 // may observe one shard's half of it before another's. Requests validate
 // atomically in the router (a rejected request changes nothing anywhere);
-// what relaxes under sharding is only cross-shard apply atomicity. For
-// mining, the per-shard snapshots are block-concatenated into one merged
-// index (a row permutation of the unsharded index, so every answer is
-// byte-identical to an unsharded engine holding the same data at the same
-// epochs); the merge is built once per epoch vector and cached.
+// what relaxes under sharding is only cross-shard apply atomicity. A mine
+// binds to the per-shard snapshots in place, one segment per shard: every
+// AND step runs in each shard's own slices and the popcounts add, and every
+// probe reads the owning shard's log view, so every answer is byte-identical
+// to an unsharded engine holding the same data at the same epochs, and
+// nothing is merged, cached or invalidated per epoch vector.
 //
 // Identical queries are answered once: results are cached per (epoch
 // vector, scheme, τ, maxlen, budget, constraint), and concurrent identical
@@ -46,7 +47,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bbsmine/internal/bitvec"
 	"bbsmine/internal/core"
 	"bbsmine/internal/iostat"
 	"bbsmine/internal/mining"
@@ -209,14 +209,6 @@ type Engine struct {
 	admitCh  chan struct{} // in-flight mine slots
 	queueLen atomic.Int64
 	wedged   atomic.Pointer[wedgeState] // set on an apply I/O error; fails all later writes
-
-	// merged is the one-entry cache of the block-concatenated mining view,
-	// keyed by epoch vector; unused (and never built) with one shard.
-	merged struct {
-		mu  sync.Mutex
-		key string
-		idx *sigfile.BBS
-	}
 
 	// The router: assigns global ordinals, validates requests whole,
 	// splits them across the shards and tracks tombstones. rmu also orders
@@ -1087,7 +1079,7 @@ func (e *Engine) queryInner(ctx context.Context, req QueryRequest, sp *Span) (*Q
 			return nil, f.err
 		}
 		e.obs.AddCacheMiss()
-		res, mineErr := e.mine(ctx, snaps, key.epochs, req, scheme, tau, sp)
+		res, mineErr := e.mine(ctx, snaps, req, scheme, tau, sp)
 		var ans *answer
 		if mineErr == nil {
 			render := e.clock.Now()
@@ -1104,43 +1096,28 @@ func (e *Engine) queryInner(ctx context.Context, req QueryRequest, sp *Span) (*Q
 	}
 }
 
-// mineView binds a snapshot vector to the (index, store) pair one mine
-// runs over. One shard: a private copy-on-write clone of the shard's
-// snapshot, exactly the unsharded engine. More: the block-concatenated
-// merged index (built once per epoch vector, cached, then cloned per query
-// so concurrent mines don't share mutable position caches) over the
-// concatenation of the per-shard log views.
-func (e *Engine) mineView(snaps []*snapshot, key string) (*sigfile.BBS, txdb.Store, error) {
-	if len(snaps) == 1 {
-		return snaps[0].idx.QueryClone(e.stats), snaps[0].log.Clone(), nil
-	}
-	e.merged.mu.Lock()
-	base := e.merged.idx
-	if base == nil || e.merged.key != key {
-		parts := make([]*sigfile.BBS, len(snaps))
-		for i, sn := range snaps {
-			parts[i] = sn.idx
-		}
-		m, err := sigfile.Merge(parts, e.stats)
-		if err != nil {
-			e.merged.mu.Unlock()
-			return nil, nil, fmt.Errorf("serve: merging the snapshot vector: %w", err)
-		}
-		e.merged.key, e.merged.idx = key, m
-		base = m
-	}
-	e.merged.mu.Unlock()
+// bindView binds a snapshot vector to the miner one query runs: per shard,
+// a private copy-on-write clone of the snapshot's index (so concurrent
+// mines never share mutable per-run fields) and a clone of its log view,
+// mined in place as the segments of one view. O(N) header copies.
+func (e *Engine) bindView(snaps []*snapshot) (*core.Miner, error) {
+	parts := make([]*sigfile.BBS, len(snaps))
 	stores := make([]txdb.Store, len(snaps))
 	for i, sn := range snaps {
+		parts[i] = sn.idx.QueryClone(e.stats)
 		stores[i] = sn.log.Clone()
 	}
-	return base.QueryClone(e.stats), txdb.Concat(stores...), nil
+	miner, err := core.NewSegmentMiner(parts, stores, e.stats)
+	if err != nil {
+		return nil, fmt.Errorf("serve: binding the snapshot: %w", err)
+	}
+	return miner, nil
 }
 
 // mine runs one cold query against a snapshot vector: admission slot
 // (queue stage), per-request deadline, private mining view (bind stage),
 // then core.Mine (mine stage).
-func (e *Engine) mine(ctx context.Context, snaps []*snapshot, key string, req QueryRequest, scheme core.Scheme, tau int, sp *Span) (*core.Result, error) {
+func (e *Engine) mine(ctx context.Context, snaps []*snapshot, req QueryRequest, scheme core.Scheme, tau int, sp *Span) (*core.Result, error) {
 	// Hold each snapshot's pager epoch for the duration of the mine, so
 	// cold pages this query faults stay evict-exempt until it finishes.
 	for _, sn := range snaps {
@@ -1165,23 +1142,17 @@ func (e *Engine) mine(ctx context.Context, snaps []*snapshot, key string, req Qu
 		defer cancel()
 	}
 	bind := e.clock.Now()
-	idx, store, err := e.mineView(snaps, key)
+	miner, err := e.bindView(snaps)
 	if err != nil {
 		return nil, err
 	}
-	var constraint *bitvec.Vector
+	var constraint *sigfile.Vec
 	if req.ConstraintItem != nil {
 		want := []txdb.Item{*req.ConstraintItem}
-		constraint, err = core.BuildConstraint(store, func(_ int, tx txdb.Transaction) bool {
-			return tx.Contains(want)
-		})
+		constraint, err = miner.Constraint(func(tx txdb.Transaction) bool { return tx.Contains(want) })
 		if err != nil {
 			return nil, err
 		}
-	}
-	miner, err := core.NewMiner(idx, store, e.stats)
-	if err != nil {
-		return nil, fmt.Errorf("serve: binding the snapshot: %w", err)
 	}
 	sp.addStage(obs.StageBind, e.clock.Now().Sub(bind).Nanoseconds())
 	workers := req.Workers

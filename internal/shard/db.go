@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
+	"bbsmine/internal/core"
 	"bbsmine/internal/iostat"
 	"bbsmine/internal/pager"
 	"bbsmine/internal/sigfile"
@@ -15,8 +15,8 @@ import (
 
 // DB couples a sharded index with per-shard transaction stores: shard s
 // owns its own slice file and its own data file, so the two stay in step
-// under the same routing. It also caches the merged read view a mining run
-// needs, invalidating it on writes.
+// under the same routing. Mining and counting bind to the shards in place
+// (see Miner); there is no merged copy to cache or invalidate.
 //
 // A DB is not safe for concurrent use — it is the library-embedding
 // counterpart of bbsmine.Database. The serving layer does not use DB's
@@ -29,10 +29,6 @@ type DB struct {
 	dir        string            // "" when in-memory
 	stats      *iostat.Stats
 	hasher     sighash.Hasher
-
-	merged      *sigfile.BBS // cached merged view; nil until first use
-	mergedStore txdb.Store
-	dirty       bool
 }
 
 // NewMem returns a volatile sharded DB over in-memory stores.
@@ -92,7 +88,6 @@ func (db *DB) Append(tx txdb.Transaction) error {
 		return err
 	}
 	db.idx.Insert(tx.Items)
-	db.dirty = true
 	return nil
 }
 
@@ -111,20 +106,13 @@ func (db *DB) Delete(pos int) error {
 	if err != nil {
 		return err
 	}
-	if err := db.idx.Delete(pos, tx.Items); err != nil {
-		return err
-	}
-	db.dirty = true
-	return nil
+	return db.idx.Delete(pos, tx.Items)
 }
 
 // Tier re-platforms the index's slice storage on pg (see Index.Tier). The
 // per-shard cold files land in the database directory; an in-memory
-// database needs scratchDir. The cached merged view is invalidated: a
-// pre-tier merge holds every slice resident outside the pool's accounting,
-// so keeping it would serve sharded mines from an untracked full copy of
-// the index and the budget would never bite. The next mine re-merges,
-// faulting cold pages through the shared pool.
+// database needs scratchDir. Mines bind to the shards in place, so every
+// later AND on a cold slice faults through pg, whatever the shard count.
 func (db *DB) Tier(pg *pager.Pager, scratchDir string, hotBudget int64, touches []uint64) error {
 	dir := db.dir
 	if dir == "" {
@@ -133,81 +121,49 @@ func (db *DB) Tier(pg *pager.Pager, scratchDir string, hotBudget int64, touches 
 	if dir == "" {
 		return fmt.Errorf("shard: tiering an in-memory database needs a scratch directory")
 	}
-	if err := db.idx.Tier(pg, dir, hotBudget, touches); err != nil {
-		return err
-	}
-	db.merged = nil
-	db.mergedStore = nil
-	return nil
+	return db.idx.Tier(pg, dir, hotBudget, touches)
 }
 
-// Untier thaws the index back to fully resident storage. The cached merged
-// view is answer-identical either way and is kept.
+// Untier thaws the index back to fully resident storage.
 func (db *DB) Untier() error { return db.idx.Untier() }
 
 // SetCompression sets the adaptive storage policy on every shard and
-// re-encodes the slices to match. The cached merged view is invalidated so
-// the next mining run rebuilds it under the new policy.
-func (db *DB) SetCompression(on bool) {
-	db.idx.SetCompression(on)
-	db.merged = nil
-	db.mergedStore = nil
-	db.dirty = true
+// re-encodes the slices to match.
+func (db *DB) SetCompression(on bool) { db.idx.SetCompression(on) }
+
+// Miner binds a mining run to the shards in place: one segment per shard,
+// each probing its own store. Cheap — nothing is copied — so callers build
+// one per run.
+func (db *DB) Miner() (*core.Miner, error) {
+	return core.NewSegmentMiner(db.idx.Parts(), db.stores, db.stats)
 }
 
-// Merged returns the read view a mining run binds to: one index and one
-// store covering every shard's rows in block order. With one shard these
-// are the shard's own index and store; with more, the merge is built once
-// and reused until the next write invalidates it.
-func (db *DB) Merged() (*sigfile.BBS, txdb.Store, error) {
-	if db.merged != nil && !db.dirty {
-		return db.merged, db.mergedStore, nil
-	}
-	idx, err := db.idx.Merge(db.stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	db.merged = idx
-	db.mergedStore = txdb.Concat(db.stores...)
-	db.dirty = false
-	return db.merged, db.mergedStore, nil
-}
-
-// Count estimates and exactly counts an itemset by per-shard fan-out: each
-// shard ANDs its own slices and probes its own candidates, and the per-shard
-// results merge by shard index. The answer is identical to counting over the
-// merged view; the accounting reflects the N per-shard slice reads that a
-// sharded deployment actually performs.
+// Count estimates and exactly counts an itemset over every shard (see
+// core.Miner.Count): each shard ANDs its own slices and probes its own
+// candidates, and the estimates and counts add.
 func (db *DB) Count(items []int32) (est, exact int, err error) {
-	sorted := append([]int32(nil), items...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	bits := len(sighash.SignatureBits(db.hasher, sorted))
-	for s := 0; s < db.idx.Shards(); s++ {
-		db.idx.Part(s).ChargeSliceReads(bits)
+	m, err := db.Miner()
+	if err != nil {
+		return 0, 0, err
 	}
-	est, dsts := db.idx.CountItemSet(sorted)
-	if est == 0 {
-		return 0, 0, nil
+	return m.Count(items)
+}
+
+// Merged exports every shard's rows as one index and one store in block
+// order: shard 0's rows first, then shard 1's, and so on. With one shard
+// these are the shard's own index and store; with more, the index is a
+// fresh private copy built on every call. Nothing reads through it — mining
+// and counting bind to the shards directly — so it exists for export and
+// measurement only.
+func (db *DB) Merged() (*sigfile.BBS, txdb.Store, error) {
+	if db.Shards() == 1 {
+		return db.idx.Part(0), db.stores[0], nil
 	}
-	for s, v := range dsts {
-		var getErr error
-		v.ForEachSet(func(local int) bool {
-			tx, err := db.stores[s].Get(local)
-			db.stats.AddProbe()
-			if err != nil {
-				getErr = err
-				return false
-			}
-			if tx.Contains(sorted) {
-				exact++
-			}
-			return true
-		})
-		if getErr != nil {
-			return 0, 0, fmt.Errorf("shard: probing shard %d: %w", s, getErr)
-		}
+	idx, err := sigfile.Merge(db.idx.Parts(), db.stats)
+	if err != nil {
+		return nil, nil, fmt.Errorf("shard: %w", err)
 	}
-	return est, exact, nil
+	return idx, txdb.Concat(db.stores...), nil
 }
 
 // Compact rewrites a persistent single-shard database without its deleted
@@ -274,9 +230,6 @@ func (db *DB) Compact() error {
 		return err
 	}
 	db.idx = idx
-	db.merged = nil
-	db.mergedStore = nil
-	db.dirty = true
 	return db.Save()
 }
 

@@ -6,32 +6,29 @@
 // to its shard with two integer ops.
 //
 // The support of an itemset is a sum over disjoint transaction sets, so
-// every count fans out to the shards and merges by shard index — a fixed,
-// deterministic order, mirroring the parallel engine's merge-by-seq
-// discipline. A full mining run goes the other way: Merge block-concatenates
-// the shards into one private index (a row permutation of the unsharded
-// index), and every mined pattern, support, exactness flag and funnel
-// counter is byte-identical to Shards:1 because all of them are functions of
-// per-row predicates and their sums, never of row order.
+// every read — an ad-hoc count or a full mining run — binds to the shards
+// in place as the segments of one sigfile.Segments view: each AND step runs
+// slice p in every shard and sums the popcounts, and each probe goes to the
+// owning shard's store. Nothing is copied, so a tiered shard keeps faulting
+// its cold pages through the shared pool, and every mined pattern, support,
+// exactness flag and funnel counter is byte-identical to Shards:1 because
+// all of them are functions of per-row predicates and their sums, never of
+// row order.
 package shard
 
 import (
 	"fmt"
 
-	"bbsmine/internal/bitvec"
 	"bbsmine/internal/iostat"
-	"bbsmine/internal/obs"
 	"bbsmine/internal/sigfile"
 	"bbsmine/internal/sighash"
 )
 
 // Index is the sharded BBS: N per-shard sigfile indexes behind round-robin
-// routing. One shard behaves exactly like a plain *sigfile.BBS (Merge
-// returns the part itself), so the unsharded path is the sharded path with
-// N = 1, not a separate code path.
+// routing. Reads bind to the parts in place as segments (sigfile.Segments);
+// one shard is the one-segment case of the same code, not a separate path.
 type Index struct {
 	parts []*sigfile.BBS
-	obs   *obs.Registry // per-shard fan-out accounting; nil disables it
 }
 
 // NewIndex returns an empty sharded index: shards parts sharing one hasher
@@ -73,6 +70,10 @@ func (x *Index) Shards() int { return len(x.parts) }
 
 // Part returns shard s's index.
 func (x *Index) Part(s int) *sigfile.BBS { return x.parts[s] }
+
+// Parts returns every shard's index, in shard order — the segments a read
+// view binds to.
+func (x *Index) Parts() []*sigfile.BBS { return x.parts }
 
 // Len returns the total number of transactions across all shards.
 func (x *Index) Len() int {
@@ -133,44 +134,6 @@ func (x *Index) IsLive(pos int) bool {
 	return x.parts[s].IsLive(local)
 }
 
-// SetObserver attaches (nil: detaches) a registry for per-shard fan-out
-// accounting. Call between runs, not during one.
-func (x *Index) SetObserver(o *obs.Registry) { x.obs = o }
-
-// CountItemSet estimates the itemset's support by deterministic scatter-
-// gather: each shard ANDs its own slices, and the per-shard estimates merge
-// by shard index into one sum. The returned vectors are the per-shard
-// candidate masks, in shard order — the set bits of vector s are local
-// positions of shard s. By the paper's Lemma 4 applied per shard, the sum
-// never undercounts the true support.
-func (x *Index) CountItemSet(items []int32) (int, []*bitvec.Vector) {
-	dsts := make([]*bitvec.Vector, len(x.parts))
-	for i := range dsts {
-		dsts[i] = bitvec.New(x.parts[i].Len())
-	}
-	var posBuf []int
-	return x.CountIntoBuf(dsts, items, &posBuf), dsts
-}
-
-// CountIntoBuf is CountItemSet with caller-owned per-shard result vectors
-// and a shared position scratch, for loops that estimate many itemsets.
-// With tracing on, each shard's contribution becomes a shard-tagged
-// shardcount event, so a sampled trace shows how an estimate split across
-// the shards.
-func (x *Index) CountIntoBuf(dsts []*bitvec.Vector, items []int32, posBuf *[]int) int {
-	est := 0
-	trace := x.obs.Tracing()
-	for s, p := range x.parts {
-		n := p.CountIntoBuf(dsts[s], items, posBuf)
-		est += n
-		x.obs.AddShardCount(s)
-		if trace {
-			x.obs.Emit(obs.Event{Kind: "shardcount", Subtree: -1, Shard: obs.ShardTag(s), Items: items, Est: n})
-		}
-	}
-	return est
-}
-
 // SetCompression sets the adaptive storage policy on every shard and
 // re-encodes each shard's slices to match (see sigfile.SetCompression).
 // Per-shard, not global: each part picks encodings from its own densities.
@@ -183,6 +146,15 @@ func (x *Index) SetCompression(on bool) {
 // Compressed reports whether the adaptive storage policy is on. The policy
 // is set index-wide, so part 0 speaks for all.
 func (x *Index) Compressed() bool { return x.parts[0].Compressed() }
+
+// TotalBytes sums the shards' logical (all-dense) slice sizes.
+func (x *Index) TotalBytes() int64 {
+	var n int64
+	for _, p := range x.parts {
+		n += p.TotalBytes()
+	}
+	return n
+}
 
 // ResidentSliceBytes sums the shards' resident slice footprints — the bytes
 // the slices actually occupy under their current encodings.
@@ -201,20 +173,4 @@ func (x *Index) Epochs() []uint64 {
 		out[i] = p.Epoch()
 	}
 	return out
-}
-
-// Merge returns one index covering every shard's rows in block order. With
-// one shard it is the shard itself (zero cost, byte-for-byte the unsharded
-// engine); with more it is a fresh private index the caller owns. Counts,
-// estimates and mining results over the merge are byte-identical to an
-// unsharded index over the same transactions — see the package comment.
-func (x *Index) Merge(stats *iostat.Stats) (*sigfile.BBS, error) {
-	if len(x.parts) == 1 {
-		return x.parts[0], nil
-	}
-	merged, err := sigfile.Merge(x.parts, stats)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	return merged, nil
 }

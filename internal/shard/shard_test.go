@@ -389,9 +389,9 @@ func TestCompactSingleShard(t *testing.T) {
 	}
 }
 
-// TestCountFanOutTracesPerShard checks the scatter-gather count emits one
-// shard-tagged shardcount event per shard with tracing on, and none with
-// it off.
+// TestCountFanOutTracesPerShard checks the segmented count over the shards
+// emits one shard-tagged shardcount event per shard with tracing on, and
+// none with it off.
 func TestCountFanOutTracesPerShard(t *testing.T) {
 	const shards = 3
 	x, err := NewIndex(sighash.NewFNV(64, 2), shards, &iostat.Stats{})
@@ -401,15 +401,19 @@ func TestCountFanOutTracesPerShard(t *testing.T) {
 	for _, tx := range genTxs(7, 30, 5, 12) {
 		x.Insert(tx.Items)
 	}
+	view, err := sigfile.NewSegments(x.Parts(), nil)
+	if err != nil {
+		t.Fatalf("NewSegments: %v", err)
+	}
 
 	// No tracer: counting emits nothing and costs no event construction.
 	reg := obs.New()
-	x.SetObserver(reg)
-	est, _ := x.CountItemSet([]int32{1, 2})
+	view = view.WithObserver(reg)
+	est, _ := view.CountItemSet([]int32{1, 2})
 
 	var buf bytes.Buffer
 	reg.SetTracer(obs.NewTracer(&buf, 1))
-	est2, _ := x.CountItemSet([]int32{1, 2})
+	est2, _ := view.CountItemSet([]int32{1, 2})
 	if est2 != est {
 		t.Fatalf("tracing changed the estimate: %d vs %d", est2, est)
 	}

@@ -13,12 +13,14 @@ import (
 // k over the same hash family), which is the caller's responsibility beyond
 // the m/k equality checked here — exactly the contract Load already has.
 //
-// Merging is how the sharded index answers a full mining run: support
-// counting is a sum over disjoint row sets (paper Corollary 1 applies
-// per shard), so a block concatenation of the shards is row-permutation of
-// the unsharded index, and every count, estimate and mined pattern is
-// identical. The merged index shares no storage with the parts: the parts
-// may be copy-on-write snapshots, and the result is a plain private index.
+// Merge is an export, not a read path: mining and counting bind to the
+// parts in place (see Segments), and a merge thaws every cold slice to
+// build its copy. Support counting is a sum over disjoint row sets (paper
+// Corollary 1 applies per shard), so a block concatenation of the shards is
+// a row permutation of the unsharded index, and every count, estimate and
+// mined pattern over it is identical. The merged index shares no storage
+// with the parts: the parts may be copy-on-write snapshots, and the result
+// is a plain private index.
 //
 // The per-slice popcounts, exact 1-itemset counts, deleted counts and the
 // max-transaction-width statistic all merge by summation (or max), so the

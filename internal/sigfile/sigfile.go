@@ -21,7 +21,6 @@ import (
 
 	"bbsmine/internal/bitvec"
 	"bbsmine/internal/iostat"
-	"bbsmine/internal/obs"
 	"bbsmine/internal/pager"
 	"bbsmine/internal/sighash"
 )
@@ -88,7 +87,6 @@ type BBS struct {
 	tierReserved int64
 
 	stats *iostat.Stats
-	obs   *obs.Registry // nil unless a mining run attached telemetry
 }
 
 // New returns an empty BBS using the given hasher. A nil stats disables
@@ -125,31 +123,6 @@ func (b *BBS) Len() int { return b.n }
 
 // Stats returns the accounting sink.
 func (b *BBS) Stats() *iostat.Stats { return b.stats }
-
-// SetObserver attaches (nil: detaches) a telemetry registry. Attached, the
-// bulk estimate path (CountIntoBuf) accounts its AND kernels and depths;
-// detached, those paths run the uninstrumented loop. Call between runs, not
-// during one.
-func (b *BBS) SetObserver(o *obs.Registry) {
-	b.obs = o
-	b.publishStorage()
-}
-
-// publishStorage pushes the storage gauges — logical vs resident slice
-// bytes and the per-encoding census — to the attached registry, if any.
-// Called wherever the storage shape changes wholesale (attach, policy
-// flips, folds); Insert's incremental growth is picked up at the next
-// wholesale event, which is all a gauge needs.
-func (b *BBS) publishStorage() {
-	if b.obs == nil {
-		return
-	}
-	dense, sparse, rle := b.EncodingCounts()
-	b.obs.SetIndexStorage(b.TotalBytes(), b.ResidentSliceBytes(), dense, sparse, rle)
-}
-
-// Observer returns the attached telemetry registry, or nil.
-func (b *BBS) Observer() *obs.Registry { return b.obs }
 
 // Insert indexes one transaction's items at the next ordinal position.
 // Position i of every slice corresponds to the i-th inserted transaction,
@@ -247,22 +220,12 @@ func (b *BBS) refreshDense(p int) {
 func (b *BBS) SliceOnes(p int) int { return b.sliceOnes[p] }
 
 // OrderRarestFirst reorders slice positions in place by ascending slice
-// popcount, ties broken by ascending position so the order is deterministic
-// for a given index state. AND-ing rarest-first maximizes the early exit:
-// the sparsest slices pull the running estimate down fastest, and AND is
-// commutative, so the surviving bits — and therefore every result — are
-// unchanged. Insertion sort: position lists are short.
+// popcount, ties broken by ascending position (see
+// Segments.OrderRarestFirst, of which this is the one-segment case).
 func (b *BBS) OrderRarestFirst(pos []int) {
-	ones := b.sliceOnes
-	for i := 1; i < len(pos); i++ {
-		for j := i; j > 0; j-- {
-			a, p := pos[j], pos[j-1]
-			if ones[a] > ones[p] || (ones[a] == ones[p] && a > p) {
-				break
-			}
-			pos[j], pos[j-1] = p, a
-		}
-	}
+	parts := [1]*BBS{b}
+	view := Segments{parts: parts[:]}
+	view.OrderRarestFirst(pos)
 }
 
 // ExactCount returns the exact support of the 1-itemset {item}, maintained
@@ -365,7 +328,6 @@ func (b *BBS) SetCompression(on bool) {
 		}
 		b.refreshDense(p)
 	}
-	b.publishStorage()
 }
 
 // pagesForBytes converts a contiguous byte extent into whole pages, at
@@ -466,79 +428,15 @@ func (b *BBS) CountInto(dst *bitvec.Vector, items []int32) int {
 
 // CountIntoBuf is CountInto with a caller-owned position scratch: *posBuf is
 // reused (and grown through the pointer) across calls, so repeated estimates
-// allocate nothing after warm-up. The slices are AND-ed rarest-first (see
-// OrderRarestFirst) — a pure ordering change: when the loop runs to
-// completion dst holds the full intersection regardless of order, and the
-// early exit fires only at estimate 0, where dst is all-zero under any
-// order. Estimates and result vectors are therefore byte-identical to the
-// ascending-position order.
-//
-//lint:hotpath
+// allocate nothing after warm-up. It runs the one AND chain every estimate
+// shares — Segments.CountIntoBuf over this index as its only segment — so
+// the slices are AND-ed rarest-first. dst is grown to Len() if shorter.
 func (b *BBS) CountIntoBuf(dst *bitvec.Vector, items []int32, posBuf *[]int) int {
-	b.stats.AddCountCall()
-	dst.Grow(b.n)
-	est := b.n
-	if b.live != nil {
-		dst.CopyFrom(b.live)
-		est = b.Live()
-	} else {
-		dst.SetAll()
-	}
-	*posBuf = sighash.AppendSignatureBits((*posBuf)[:0], b.hasher, items)
-	b.OrderRarestFirst(*posBuf)
-	if b.obs != nil {
-		return b.countIntoObserved(dst, *posBuf, est)
-	}
-	for _, p := range *posBuf {
-		est = b.AndSlice(dst, p)
-		if est == 0 {
-			break
-		}
-		// Rarest-first makes the estimate collapse after an AND or two;
-		// promoting the accumulator then lets the rest of the chain walk
-		// only the surviving words. A bits-identical overlay (the vector's
-		// explicit-summary contract from the sparse-kernel PR holds: the
-		// promotion is this caller's choice, never the kernel's).
-		dst.MaybeSummarize(est)
-	}
-	return est
-}
-
-// countIntoObserved is CountIntoBuf's AND loop with kernel telemetry: same
-// slices, same order, same early exit — plus per-AND accounting of which
-// kernel ran and how many words it visited, flushed to the registry in one
-// batch. Split out so the unobserved loop stays branch-free.
-func (b *BBS) countIntoObserved(dst *bitvec.Vector, pos []int, est int) int {
-	var s obs.KernelSample
-	s.Evals = 1
-	// Slice-touch tallies feed the tiering pass: every slice selected into
-	// this chain counts as touched, whether or not the early exit cuts the
-	// ANDs short — the selection is what the hot tier wants to predict.
-	b.obs.TouchSlices(pos)
-	done := 0
-	for _, p := range pos {
-		words, sparse := dst.WordStats()
-		if sparse {
-			s.AndsSparse++
-			s.WordsSparse += int64(words)
-		} else {
-			s.AndsDense++
-			s.WordsDense += int64(words)
-		}
-		s.CountEncoding(int(b.slices[p].Encoding()))
-		est = b.AndSlice(dst, p)
-		done++
-		if est == 0 {
-			break
-		}
-		dst.MaybeSummarize(est) // mirror CountIntoBuf's mid-chain promotion
-	}
-	if done < len(pos) {
-		s.EarlyExits = 1
-	}
-	b.obs.AddKernel(s)
-	b.obs.ObserveAndDepth(int64(done))
-	return est
+	parts := [1]*BBS{b}
+	segs := [1]*bitvec.Vector{dst}
+	var ones [1]int
+	view := Segments{parts: parts[:], stats: b.stats}
+	return view.CountIntoBuf(&Vec{segs: segs[:], ones: ones[:]}, items, posBuf)
 }
 
 // CountConstrained is CountItemSet with an additional constraint slice (an
@@ -565,15 +463,25 @@ func (b *BBS) CountConstrained(items []int32, constraint *bitvec.Vector) (int, *
 // The returned index shares no storage with the original and uses a hasher
 // whose positions are reduced mod keep.
 func (b *BBS) Fold(keep int) (*BBS, error) {
-	if keep <= 0 || keep > len(b.slices) {
-		return nil, fmt.Errorf("sigfile: fold width %d out of range (1..%d)", keep, len(b.slices))
+	if err := checkFoldWidth(keep, len(b.slices)); err != nil {
+		return nil, err
 	}
 	// Reading every original slice once is the preprocessing pass; charge it.
 	b.ChargeFullRead()
+	return b.fold(keep), nil
+}
 
+func checkFoldWidth(keep, m int) error {
+	if keep <= 0 || keep > m {
+		return fmt.Errorf("sigfile: fold width %d out of range (1..%d)", keep, m)
+	}
+	return nil
+}
+
+// fold is Fold without the validation, accounting and telemetry.
+func (b *BBS) fold(keep int) *BBS {
 	fh := &foldedHasher{base: b.hasher, m: keep}
 	nb := New(fh, b.stats)
-	nb.obs = b.obs // the MemBBS inherits the run's telemetry
 	nb.n = b.n
 	nb.compress = b.compress
 	for j := 0; j < keep; j++ {
@@ -600,8 +508,7 @@ func (b *BBS) Fold(keep int) (*BBS, error) {
 		nb.live = b.live.Clone()
 		nb.deleted = b.deleted
 	}
-	nb.publishStorage()
-	return nb, nil
+	return nb
 }
 
 // foldedHasher reduces a base hasher's positions modulo a smaller m.

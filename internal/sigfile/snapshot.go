@@ -23,8 +23,8 @@ import (
 //   - the master is single-writer: Snapshot and all mutations must be
 //     issued from one goroutine (the serving commit loop);
 //   - concurrent readers of one snapshot each take a QueryClone, because
-//     mining mutates per-run accounting fields (observer attachment,
-//     cold-page residency) on the receiver.
+//     mining mutates a per-run accounting field (cold-page residency) on
+//     the receiver.
 
 // Epoch returns the index's write epoch: the number of applied write
 // batches since the process opened it. The serving layer bumps it once per
@@ -74,8 +74,8 @@ func (b *BBS) Snapshot() *BBS {
 
 // QueryClone returns a shallow copy of the index for one mining run. The
 // clone shares the slices, live mask, and counters (read-only on the query
-// path) but owns the mutable per-run fields — the attached observer and the
-// cold-page residency counter — so any number of concurrent miners can run
+// path) but owns the mutable per-run field — the cold-page residency
+// counter — so any number of concurrent miners can run
 // against one snapshot without writing to shared memory. A non-nil stats
 // redirects the clone's accounting; atomics inside iostat.Stats make a
 // shared sink safe.
@@ -84,7 +84,6 @@ func (b *BBS) QueryClone(stats *iostat.Stats) *BBS {
 	c.cow = nil
 	c.cowLive = false
 	c.cowItems = false
-	c.obs = nil
 	if stats != nil {
 		c.stats = stats
 	}

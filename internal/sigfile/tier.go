@@ -112,7 +112,6 @@ func (b *BBS) Tier(pg *pager.Pager, path string, hotBudget int64, touches []uint
 		pg.Reserve(hotBytes)
 		b.tierPager = pg
 		b.tierReserved = hotBytes
-		b.publishStorage()
 		return nil
 	}
 
@@ -160,7 +159,6 @@ func (b *BBS) Tier(pg *pager.Pager, path string, hotBudget int64, touches []uint
 	b.tierPager = pg
 	b.tierReserved = hotBytes
 	b.tierFile = f
-	b.publishStorage()
 	return nil
 }
 
@@ -187,7 +185,6 @@ func (b *BBS) Untier() error {
 	b.tierPager = nil
 	f := b.tierFile
 	b.tierFile = nil
-	b.publishStorage()
 	return f.Close()
 }
 

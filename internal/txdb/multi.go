@@ -8,7 +8,8 @@ import (
 // concatStore presents per-shard stores as one logical Store in block
 // order: part 0's rows at positions [0, n0), part 1's at [n0, n0+n1), and
 // so on — the same row order sigfile.Merge gives the merged index, so
-// position i of the concatenated store is bit i of every merged slice.
+// position i of the concatenated store is bit i of every merged slice
+// (shard.DB.Merged exports the pair).
 type concatStore struct {
 	parts   []Store
 	offsets []int // offsets[i] is the first global position of part i

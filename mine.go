@@ -7,6 +7,8 @@ import (
 	"bbsmine/internal/core"
 	"bbsmine/internal/mining"
 	"bbsmine/internal/rules"
+	"bbsmine/internal/sigfile"
+	"bbsmine/internal/txdb"
 )
 
 // Scheme selects one of the paper's four filter-and-refine algorithms.
@@ -149,18 +151,10 @@ func (db *Database) MineApprox(opts MineOptions) ([]Pattern, error) {
 
 // Count estimates and exactly counts the occurrences of an arbitrary
 // itemset — frequent or not — using one index lookup plus targeted probes.
-// On a sharded database the count fans out: each shard ANDs its own slices
-// and probes its own candidates, and the per-shard results merge by shard
-// index, so no merged view is built for an ad-hoc query.
+// On a sharded database every shard ANDs its own slices and probes its own
+// candidates, and the estimates and counts add.
 func (db *Database) Count(items []int32) (estimate, exact int, err error) {
-	if db.Shards() > 1 {
-		return db.sdb.Count(items)
-	}
-	m, err := db.miner()
-	if err != nil {
-		return 0, 0, err
-	}
-	return m.Count(items)
+	return db.sdb.Count(items)
 }
 
 // CountWhere counts itemset occurrences among the transactions satisfying
@@ -179,22 +173,19 @@ func (db *Database) CountWhere(items []int32, pred func(tid int64) bool) (estima
 // queries and constrained mining. It is bound to the database state at
 // creation time: appending transactions invalidates it.
 type Constraint struct {
-	vec *bitvecVector
+	vec *sigfile.Vec
 	n   int
 }
 
 // NewConstraint materializes a constraint from a predicate over TIDs. The
-// constraint is laid out in the merged read view's row order, which is what
-// constrained counting and mining consume; it is opaque to callers either
-// way.
+// constraint is laid out per shard, one segment per shard's rows, which is
+// what constrained counting and mining consume; it is opaque to callers.
 func (db *Database) NewConstraint(pred func(tid int64) bool) (*Constraint, error) {
-	_, store, err := db.sdb.Merged()
+	m, err := db.miner()
 	if err != nil {
 		return nil, err
 	}
-	v, err := core.BuildConstraint(store, func(_ int, tx txdbTransaction) bool {
-		return pred(tx.TID)
-	})
+	v, err := m.Constraint(func(tx txdb.Transaction) bool { return pred(tx.TID) })
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,8 @@ package bbsmine
 import (
 	"reflect"
 	"testing"
+
+	"bbsmine/internal/pager"
 )
 
 // tieredBudget is deliberately tiny against the ~6 KiB of slice payload the
@@ -92,9 +94,40 @@ func TestTieredMiningByteIdentical(t *testing.T) {
 	}
 }
 
+// TestTieredShardedBudgetContract pins the resource contract under
+// sharding: a 4-shard tiered database mines its shards in place, so every
+// mine — not just the first after Tier — ANDs cold slices through the
+// shared pool and faults pages, and the pool's resident plus reserved bytes
+// never exceed the budget by more than the one frame it may round up to. A
+// merged, thawed copy of the index would fault once and then serve every
+// later mine from memory the pool does not account for.
+func TestTieredShardedBudgetContract(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		_, tiered := tieredPair(t, 76, 400, 4, compress, []int{3, 77, 150})
+		for i, scheme := range []Scheme{DFP, SFS, SFP, DFS, DFP} {
+			before := tiered.TierStats()
+			if _, err := tiered.Mine(MineOptions{MinSupportCount: 5, Scheme: scheme}); err != nil {
+				t.Fatalf("compress=%v mine %d (%v): %v", compress, i, scheme, err)
+			}
+			after := tiered.TierStats()
+			if i == 0 {
+				continue
+			}
+			if after.Faults <= before.Faults {
+				t.Errorf("compress=%v mine %d (%v): faulted %d pages; a sharded tiered mine must read its cold slices through the pool",
+					compress, i, scheme, after.Faults-before.Faults)
+			}
+			if held := after.ResidentBytes + after.ReservedBytes; held > tieredBudget+pager.PageSize {
+				t.Errorf("compress=%v mine %d (%v): %d resident + %d reserved bytes exceed the %d-byte budget plus one %d-byte page",
+					compress, i, scheme, after.ResidentBytes, after.ReservedBytes, tieredBudget, pager.PageSize)
+			}
+		}
+	}
+}
+
 // TestTieredConstrainedMiningMatches covers the constrained path over cold
-// slices: the TID-predicate constraint vector ANDs against faulted payloads
-// on both the fan-out and merged-view sides.
+// slices: the TID-predicate constraint ANDs against faulted payloads in
+// every shard.
 func TestTieredConstrainedMiningMatches(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		resident, tiered := tieredPair(t, 72, 320, shards, false, nil)
