@@ -190,21 +190,25 @@ func runShardedObserved(name string, txs []txdb.Transaction, tau int, p Params) 
 		var pg *pager.Pager
 		if p.MemBudget > 0 {
 			label := fmt.Sprintf("%s-s%d", name, p.Shards)
-			stores := make([]txdb.Store, sdb.Shards())
-			for s := range stores {
-				stores[s] = sdb.Store(s)
-			}
-			tierIndex := func(pg *pager.Pager, hotBudget int64, touches []uint64) error {
-				return sdb.Tier(pg, filepath.Join(p.TierDir, label), hotBudget, touches)
-			}
-			spec := TierSpec{MemBudget: p.MemBudget, Dir: p.TierDir}
-			if pg, err = spec.tier(label, scheme, miner, stores, tau, p.Workers, tierIndex); err != nil {
+			var touches []uint64
+			if pg, touches, err = (TierSpec{MemBudget: p.MemBudget, Dir: p.TierDir}).tier(scheme, miner, tau, p.Workers); err != nil {
 				return Metrics{}, err
 			}
+			if err := sdb.Tier(pg, filepath.Join(p.TierDir, label), p.MemBudget/2, touches); err != nil {
+				return Metrics{}, err
+			}
+			for s := 0; s < sdb.Shards(); s++ {
+				attachPager(sdb.Store(s), pg, fmt.Sprintf("txdb/%s/shard-%d", label, s))
+			}
 		}
-		met, err := timeBBSMine(name, scheme, miner, sdb.Index(), &stats, tau, 0, p.Workers, true, pg)
+		met, err := timeBBSMine(name, scheme, miner, &stats, tau, 0, p.Workers, true, pg)
 		if err != nil {
 			return Metrics{}, err
+		}
+		x := sdb.Index()
+		met.SliceLogicalBytes, met.SliceResidentBytes, met.Compressed = x.TotalBytes(), x.ResidentSliceBytes(), x.Compressed()
+		if pg != nil {
+			met.SlicesHot, met.SlicesCold = x.TierCensus()
 		}
 		if r == 0 || met.Total() < best.Total() {
 			best = met

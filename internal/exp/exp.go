@@ -231,36 +231,29 @@ type TierSpec struct {
 	Dir       string
 }
 
-// tier re-platforms an already-built bench index on a fresh buffer pool:
-// an unobserved-by-the-clock profiling mine collects per-slice AND
-// participation, tierIndex pins the hottest slices inside half the budget
-// and spills the rest to cold files, and each store's page residency (when
-// the store supports it) moves onto the same pool, the way bbsd attaches
-// its shards' data files. Returns the pool so the timed run can snapshot
-// its gauges.
-func (t TierSpec) tier(name string, scheme core.Scheme, miner *core.Miner, stores []txdb.Store, tau, workers int,
-	tierIndex func(pg *pager.Pager, hotBudget int64, touches []uint64) error) (*pager.Pager, error) {
+// tier starts a tiered bench run: an unobserved-by-the-clock profiling
+// mine collects per-slice AND participation and a fresh buffer pool is
+// sized to the budget. The caller then tiers its index on the pool with
+// those touches (the hottest slices pinned inside half the budget, the rest
+// spilled to cold files) and moves its stores' page residency onto it, the
+// way bbsd attaches its shards' data files.
+func (t TierSpec) tier(scheme core.Scheme, miner *core.Miner, tau, workers int) (*pager.Pager, []uint64, error) {
 	if t.Dir == "" {
-		return nil, fmt.Errorf("exp: tiered run needs a scratch dir for cold files")
+		return nil, nil, fmt.Errorf("exp: tiered run needs a scratch dir for cold files")
 	}
 	reg := obs.New()
 	if _, err := miner.Mine(core.Config{MinSupport: tau, Scheme: scheme, Workers: workers, Observe: reg}); err != nil {
-		return nil, fmt.Errorf("exp: tier profiling run: %w", err)
+		return nil, nil, fmt.Errorf("exp: tier profiling run: %w", err)
 	}
-	pg := pager.New(t.MemBudget)
-	if err := tierIndex(pg, t.MemBudget/2, reg.SliceTouches()); err != nil {
-		return nil, err
+	return pager.New(t.MemBudget), reg.SliceTouches(), nil
+}
+
+// attachPager moves a store's page residency onto the pool under the
+// virtual file name virt, when the store supports it.
+func attachPager(store txdb.Store, pg *pager.Pager, virt string) {
+	if pb, ok := store.(txdb.PagerBacked); ok {
+		pb.AttachPager(pg.Virtual(virt))
 	}
-	for s, store := range stores {
-		virt := "txdb/" + name
-		if len(stores) > 1 {
-			virt += fmt.Sprintf("/shard-%d", s)
-		}
-		if pb, ok := store.(txdb.PagerBacked); ok {
-			pb.AttachPager(pg.Virtual(virt))
-		}
-	}
-	return pg, nil
 }
 
 func runSchemeOnce(name string, txs []txdb.Transaction, tau int, m, k int, memBudget int64, workers int, compress, observe bool, tier TierSpec) (Metrics, error) {
@@ -284,14 +277,24 @@ func runSchemeOnce(name string, txs []txdb.Transaction, tau int, m, k int, memBu
 		}
 		var pg *pager.Pager
 		if tier.MemBudget > 0 {
-			tierIndex := func(pg *pager.Pager, hotBudget int64, touches []uint64) error {
-				return idx.Tier(pg, filepath.Join(tier.Dir, name+".cold"), hotBudget, touches)
-			}
-			if pg, err = tier.tier(name, scheme, miner, []txdb.Store{store}, tau, workers, tierIndex); err != nil {
+			var touches []uint64
+			if pg, touches, err = tier.tier(scheme, miner, tau, workers); err != nil {
 				return Metrics{}, err
 			}
+			if err := idx.Tier(pg, filepath.Join(tier.Dir, name+".cold"), tier.MemBudget/2, touches); err != nil {
+				return Metrics{}, err
+			}
+			attachPager(store, pg, "txdb/"+name)
 		}
-		return timeBBSMine(name, scheme, miner, idx, &stats, tau, memBudget, workers, observe, pg)
+		met, err := timeBBSMine(name, scheme, miner, &stats, tau, memBudget, workers, observe, pg)
+		if err != nil {
+			return Metrics{}, err
+		}
+		met.SliceLogicalBytes, met.SliceResidentBytes, met.Compressed = idx.TotalBytes(), idx.ResidentSliceBytes(), idx.Compressed()
+		if pg != nil {
+			met.SlicesHot, met.SlicesCold = idx.TierCensus()
+		}
+		return met, nil
 	}
 
 	switch name {
@@ -325,21 +328,13 @@ func runSchemeOnce(name string, txs []txdb.Transaction, tau int, m, k int, memBu
 	return Metrics{}, fmt.Errorf("exp: unknown scheme %q", name)
 }
 
-// benchIndex is what a timed bench mine reports about the index it ran
-// over: a flat *sigfile.BBS or a sharded *shard.Index.
-type benchIndex interface {
-	TotalBytes() int64
-	ResidentSliceBytes() int64
-	Compressed() bool
-	TierCensus() (hot, cold int)
-}
-
 // timeBBSMine times one mining run with an already-bound miner — index
 // construction is not part of a mining run, so stats reset just before the
 // clock starts. Shared by the flat and sharded runners. pg is the buffer
 // pool of a tiered run (nil when resident); the pool saw no traffic before
-// the timed run, so its counters are the run's.
-func timeBBSMine(name string, scheme core.Scheme, miner *core.Miner, idx benchIndex, stats *iostat.Stats, tau int, memBudget int64, workers int, observe bool, pg *pager.Pager) (Metrics, error) {
+// the timed run, so its counters are the run's. The caller fills in what
+// the run reports about its index layout.
+func timeBBSMine(name string, scheme core.Scheme, miner *core.Miner, stats *iostat.Stats, tau int, memBudget int64, workers int, observe bool, pg *pager.Pager) (Metrics, error) {
 	var reg *obs.Registry
 	if observe {
 		reg = obs.New()
@@ -360,10 +355,6 @@ func timeBBSMine(name string, scheme core.Scheme, miner *core.Miner, idx benchIn
 		FDR:       res.FalseDropRatio(),
 		Certain:   res.Certain,
 		Snapshot:  snap,
-
-		SliceLogicalBytes:  idx.TotalBytes(),
-		SliceResidentBytes: idx.ResidentSliceBytes(),
-		Compressed:         idx.Compressed(),
 	}
 	if pg != nil {
 		ps := pg.Stats()
@@ -374,7 +365,6 @@ func timeBBSMine(name string, scheme core.Scheme, miner *core.Miner, idx benchIn
 		met.PagerHits = ps.Hits
 		met.PagerEvictions = ps.Evictions
 		met.PagerHitRatio = ps.HitRatio()
-		met.SlicesHot, met.SlicesCold = idx.TierCensus()
 	}
 	if reg != nil {
 		om := reg.Metrics()

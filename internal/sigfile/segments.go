@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"bbsmine/internal/bitvec"
 	"bbsmine/internal/iostat"
@@ -168,16 +169,23 @@ func (s *Segments) sliceOnes(p int) int {
 // AND-ing rarest-first maximizes the early exit: the sparsest slices pull
 // the running estimate down fastest, and AND is commutative, so the
 // surviving bits — and therefore every result — are unchanged. Insertion
-// sort: position lists are short.
+// sort: position lists are short, and each summed popcount is taken once.
 func (s *Segments) OrderRarestFirst(pos []int) {
+	var buf [64]int // k positions per item: room for a 16-itemset without allocating
+	ones := buf[:0]
+	if len(pos) > len(buf) {
+		ones = make([]int, 0, len(pos))
+	}
+	for _, p := range pos {
+		ones = append(ones, s.sliceOnes(p))
+	}
 	for i := 1; i < len(pos); i++ {
 		for j := i; j > 0; j-- {
-			a, p := pos[j], pos[j-1]
-			oa, op := s.sliceOnes(a), s.sliceOnes(p)
-			if oa > op || (oa == op && a > p) {
+			if ones[j] > ones[j-1] || (ones[j] == ones[j-1] && pos[j] > pos[j-1]) {
 				break
 			}
-			pos[j], pos[j-1] = p, a
+			pos[j], pos[j-1] = pos[j-1], pos[j]
+			ones[j], ones[j-1] = ones[j-1], ones[j]
 		}
 	}
 }
@@ -448,6 +456,9 @@ func (v *Vec) Segments() int { return len(v.segs) }
 // Segment returns segment i's sub-vector; callers must not modify it.
 func (v *Vec) Segment(i int) *bitvec.Vector { return v.segs[i] }
 
+// SegmentCount returns the number of set bits in segment i.
+func (v *Vec) SegmentCount(i int) int { return v.ones[i] }
+
 // Len returns the number of rows across every segment.
 func (v *Vec) Len() int {
 	n := 0
@@ -470,8 +481,8 @@ func (v *Vec) Count() int {
 func (v *Vec) CopyFrom(other *Vec) {
 	for i, sv := range other.segs {
 		v.segs[i].CopyFrom(sv)
+		v.ones[i] = other.ones[i]
 	}
-	copy(v.ones, other.ones)
 }
 
 // AndCount replaces v with v AND other, segment by segment, and returns the
@@ -516,56 +527,57 @@ func (v *Vec) ForEachSet(fn func(seg, local int) bool) {
 }
 
 // VecPool is a concurrency-safe free list of residuals shaped for one view.
-// Each segment's vector comes from that segment's bitvec.Pool and the
-// per-residual headers are recycled too, so the miners' allocation-free
-// discipline holds at any segment count. Vectors handed out by Get have
+// A residual is pooled whole, with its per-segment vectors attached, so the
+// miners' allocation-free discipline holds at any segment count at the cost
+// of one pool operation per Get or Put. Residuals handed out by Get have
 // unspecified contents; callers overwrite them (CopyFrom) before use.
 type VecPool struct {
-	segs    []*bitvec.Pool
-	headers sync.Pool
+	lens []int // each segment's length in bits
+	p    sync.Pool
+
+	gets   atomic.Int64 // residuals handed out
+	misses atomic.Int64 // gets that had to allocate a fresh residual
 }
 
 // NewPool returns a residual pool shaped for the view.
 func (s *Segments) NewPool() *VecPool {
-	p := &VecPool{segs: make([]*bitvec.Pool, len(s.parts))}
+	p := &VecPool{lens: make([]int, len(s.parts))}
 	for i, b := range s.parts {
-		p.segs[i] = bitvec.NewPool(b.n)
+		p.lens[i] = b.n
+	}
+	p.p.New = func() any {
+		p.misses.Add(1)
+		v := &Vec{segs: make([]*bitvec.Vector, len(p.lens)), ones: make([]int, len(p.lens))}
+		for i, n := range p.lens {
+			v.segs[i] = bitvec.New(n)
+		}
+		return v
 	}
 	return p
 }
 
 // Get returns a residual of the pool's shape with unspecified contents.
 func (p *VecPool) Get() *Vec {
-	v, _ := p.headers.Get().(*Vec)
-	if v == nil {
-		v = &Vec{segs: make([]*bitvec.Vector, len(p.segs)), ones: make([]int, len(p.segs))}
-	}
-	for i, sp := range p.segs {
-		v.segs[i] = sp.Get()
-	}
-	return v
+	p.gets.Add(1)
+	return p.p.Get().(*Vec)
 }
 
 // Put returns a residual to the pool; nil or foreign-shaped residuals are
 // dropped, so callers may Put unconditionally.
 func (p *VecPool) Put(v *Vec) {
-	if v == nil || len(v.segs) != len(p.segs) {
+	if v == nil || len(v.segs) != len(p.lens) {
 		return
 	}
-	for i, sp := range p.segs {
-		sp.Put(v.segs[i])
-		v.segs[i] = nil
+	for i, sv := range v.segs {
+		if sv.Len() != p.lens[i] {
+			return
+		}
 	}
-	p.headers.Put(v)
+	p.p.Put(v)
 }
 
-// Counters returns the pool's lifetime vector traffic summed over the
-// segments: vectors handed out, of which misses were fresh allocations.
+// Counters returns the pool's lifetime traffic: residuals handed out, of
+// which misses were fresh allocations.
 func (p *VecPool) Counters() (gets, misses int64) {
-	for _, sp := range p.segs {
-		g, m := sp.Counters()
-		gets += g
-		misses += m
-	}
-	return gets, misses
+	return p.gets.Load(), p.misses.Load()
 }
